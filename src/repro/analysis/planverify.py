@@ -38,6 +38,7 @@ from __future__ import annotations
 import ast
 import builtins
 import re
+import threading
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.datalog.atoms import Literal
@@ -55,6 +56,12 @@ _BATCH_POSITIVE = {"batch-probe", "batch-scan"}
 #: guard helpers.  Everything else the emitters reference is a local.
 _DEFAULT_NAMESPACE = re.compile(r"C\d+$")
 _HELPERS = frozenset({"_lt", "_le", "_gt", "_ge"})
+
+#: Serializes ``ast.parse``: CPython 3.11 keeps the AST constructor's
+#: recursion depth in interpreter-wide state, so a parse that yields the
+#: GIL mid-build (a finalizer run by the garbage collector) lets another
+#: thread's parse corrupt it, and both fail with ``SystemError``.
+_PARSE_LOCK = threading.Lock()
 
 #: builtins whose guard is a tautology / contradiction on identical terms.
 _ALWAYS_TRUE_ON_SELF = frozenset({"=", "<=", ">="})
@@ -247,7 +254,8 @@ def _eval_builtin(op: str, a, b) -> bool:
 def _check_source(rule: Rule, source: str, kind: str, namespace,
                   report: AnalysisReport, where: str) -> None:
     try:
-        tree = ast.parse(source)
+        with _PARSE_LOCK:
+            tree = ast.parse(source)
     except SyntaxError as exc:
         report.add("ML014", f"generated source does not parse: {exc}",
                    location=where)

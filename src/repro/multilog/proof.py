@@ -29,6 +29,7 @@ b-atom provability is guarded by ``level <= u`` and ``cls <= u``
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -72,6 +73,12 @@ def _ground(term: Term, subst: Substitution) -> object:
     if not isinstance(resolved, Constant):
         raise MultiLogError(f"term {resolved!r} is not ground at derivation time")
     return resolved.value
+
+
+def _bound_value(term: Term, subst: Substitution) -> object | None:
+    """The value ``term`` is bound to under ``subst``, or ``None``."""
+    resolved = walk(term, subst)
+    return resolved.value if isinstance(resolved, Constant) else None
 
 
 def atomize_body(body: tuple[BodyAtom, ...]) -> tuple[BodyAtom, ...]:
@@ -431,12 +438,16 @@ class OperationalEngine:
             mode_names = [str(mode_term.value)]
         else:
             mode_names = sorted(BUILTIN_MODES)
+        pred, attr = _bound_value(atom.args[0], subst), _bound_value(atom.args[2], subst)
         for mode in mode_names:
             with_mode = unify_terms(atom.args[6], Constant(mode), subst)
             if with_mode is None:
                 continue
             for h, level_subst in self._believing_levels(atom.args[5], with_mode):
-                for row in list(self.believed_cells(mode, h, belief_cells)):
+                for row in self.believed_cells(mode, h, belief_cells):
+                    if ((pred is not None and row[0] != pred)
+                            or (attr is not None and row[2] != attr)):
+                        continue
                     out: Substitution | None = level_subst
                     for term, ground in zip(atom.args[:5], row[:5]):
                         out = unify_terms(term, Constant(ground), out)
@@ -478,14 +489,14 @@ class OperationalEngine:
     def _solve_builtin_belief(self, atom: BAtom, mode: str, subst: Substitution,
                               belief_cells: dict[CellRow, int]) -> Iterator[Substitution]:
         matom = atom.matom
+        pred, attr = matom.pred, matom.attr
         for h, level_subst in self._believing_levels(matom.level, subst):
+            at_h = MAtom(Constant(h), pred, matom.key, attr, matom.cls, matom.value)
             for row in self.believed_cells(mode, h, belief_cells):
+                if row[0] != pred or row[2] != attr:
+                    continue
                 extended = self._unify_cell(
-                    MAtom(Constant(h), matom.pred, matom.key, matom.attr,
-                          matom.cls, matom.value),
-                    (row[0], row[1], row[2], row[3], row[4], h),
-                    level_subst,
-                )
+                    at_h, (row[0], row[1], row[2], row[3], row[4], h), level_subst)
                 if extended is None:
                     continue
                 if self.lattice.leq(row[4], self.clearance):
@@ -502,32 +513,42 @@ class OperationalEngine:
         self.lattice.check_level(level)
         if mode == "fir":
             return [row for row in base if row[5] == level]
-        visible = [row for row in base if self.lattice.leq(row[5], level)]
+        below = self.lattice.down_set(level)
+        visible = [row for row in base if row[5] in below]
         audit = _current_obs().audit
         if audit.enabled:
-            for row in visible:
-                if row[5] != level:
-                    audit.emit("cross_level_read", subject=level,
-                               object=row[5], mode=mode, predicate=row[0])
+            # Each distinct event is emitted once, first occurrence
+            # first, with its row count: the same trail as one emit per
+            # row.  Overrides below are batched the same way.
+            reads: Counter[tuple[str, str]] = Counter(
+                (row[5], row[0]) for row in visible if row[5] != level)
+            for (source, pred), times in reads.items():
+                audit.emit("cross_level_read", subject=level, object=source,
+                           mode=mode, predicate=pred, times=times)
         if mode == "opt":
             return visible
-        if mode == "cau":
-            if audit.enabled:
-                for row in visible:
-                    if self._outranked(row, visible):
-                        audit.emit("override", subject=level, object=row[4],
-                                   mode="cau", predicate=row[0],
-                                   attribute=row[2])
-            return [row for row in visible if not self._outranked(row, visible)]
-        raise UnknownModeError(f"{mode!r} is not a built-in mode")
-
-    def _outranked(self, row: CellRow, visible: list[CellRow]) -> bool:
-        pred, key, attr, _value, cls, _level = row
-        return any(
-            other[0] == pred and other[1] == key and other[2] == attr
-            and self.lattice.lt(cls, other[4])
-            for other in visible
-        )
+        if mode != "cau":
+            raise UnknownModeError(f"{mode!r} is not a built-in mode")
+        # A row is overridden iff a visible row of its (pred, key, attr)
+        # slot has a strictly higher class.  Intersecting the slot's
+        # distinct classes with the classes strictly above the row's is
+        # that test verbatim, so it is exact on partial orders as well
+        # as chains.
+        classes: dict[tuple, set[str]] = {}
+        for row in visible:
+            classes.setdefault(row[:3], set()).add(row[4])
+        above = {cls: self.lattice.up_set(cls) - {cls} for cls in self.lattice.levels}
+        believed: list[CellRow] = []
+        overrides: Counter[tuple[str, str, str]] = Counter()
+        for row in visible:
+            if above[row[4]].isdisjoint(classes[row[:3]]):
+                believed.append(row)
+            elif audit.enabled:
+                overrides[row[4], row[0], row[2]] += 1
+        for (cls, pred, attr), times in overrides.items():
+            audit.emit("override", subject=level, object=cls, mode="cau",
+                       predicate=pred, attribute=attr, times=times)
+        return believed
 
     def _solve_user_belief(self, atom: BAtom, mode: str, subst: Substitution,
                            pfacts: dict[PRow, int],
@@ -874,7 +895,9 @@ class Prover:
         value = walk(matom.value, subst).value  # type: ignore[union-attr]
         cls = str(walk(matom.cls, subst).value)  # type: ignore[union-attr]
         for row in self.engine.believed_cells(mode, h):
-            if (row[0], row[1], row[2], row[3], row[4]) == (matom.pred, key, matom.attr, value, cls):
+            if row[0] != matom.pred or row[2] != matom.attr:
+                continue
+            if (row[1], row[3], row[4]) == (key, value, cls):
                 return row
         return None
 

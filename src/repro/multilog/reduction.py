@@ -33,6 +33,7 @@ Two documented repairs to the published Figure 12 (see DESIGN.md):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.cache import VersionedMemo
@@ -322,6 +323,10 @@ class ReducedProgram:
         """
         lattice = self.context.lattice
         model = self.model()
+        # Rows are counted per distinct event, first occurrence first, and
+        # each event is emitted once with its count: the same trail as one
+        # emit per row.
+        events: Counter[tuple[str, str, str, str, str | None]] = Counter()
         if self.specialized:
             for level in sorted(lattice.levels):
                 if not lattice.leq(level, self.clearance):
@@ -329,25 +334,29 @@ class ReducedProgram:
                 for row in model.rows(_vis_at(level)):
                     source = str(row[5])
                     if source != level:
-                        audit.emit("cross_level_read", subject=level,
-                                   object=source, mode="opt",
-                                   predicate=str(row[0]))
+                        events["cross_level_read", level, source,
+                               str(row[0]), None] += 1
                 for row in model.rows(_outranked_at(level)):
-                    audit.emit("override", subject=level, object=str(row[3]),
-                               mode="cau", predicate=str(row[0]),
-                               attribute=str(row[2]))
-            return
-        for row in model.rows("vis"):
-            source, believer = str(row[5]), str(row[6])
-            if source != believer and lattice.leq(believer, self.clearance):
-                audit.emit("cross_level_read", subject=believer, object=source,
-                           mode="opt", predicate=str(row[0]))
-        for row in model.rows("outranked"):
-            believer = str(row[4])
-            if lattice.leq(believer, self.clearance):
-                audit.emit("override", subject=believer, object=str(row[3]),
-                           mode="cau", predicate=str(row[0]),
-                           attribute=str(row[2]))
+                    events["override", level, str(row[3]),
+                           str(row[0]), str(row[2])] += 1
+        else:
+            for row in model.rows("vis"):
+                source, believer = str(row[5]), str(row[6])
+                if source != believer and lattice.leq(believer, self.clearance):
+                    events["cross_level_read", believer, source,
+                           str(row[0]), None] += 1
+            for row in model.rows("outranked"):
+                believer = str(row[4])
+                if lattice.leq(believer, self.clearance):
+                    events["override", believer, str(row[3]),
+                           str(row[0]), str(row[2])] += 1
+        for (kind, subject, source, pred, attr), times in events.items():
+            if attr is None:
+                audit.emit(kind, subject=subject, object=source, mode="opt",
+                           predicate=pred, times=times)
+            else:
+                audit.emit(kind, subject=subject, object=source, mode="cau",
+                           predicate=pred, attribute=attr, times=times)
 
     def query(self, query: Query) -> list[dict[str, object]]:
         """Answer a MultiLog query against the reduced program.

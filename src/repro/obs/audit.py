@@ -34,7 +34,10 @@ kind                      emitted when
 Identical events collapse into one entry with an occurrence ``count``
 (a fixpoint engine revisits the same cell every round; the *fact* of the
 downward read is the audit signal, not its multiplicity), preserving
-first-occurrence order.  :data:`NULL_AUDIT` keeps the disabled path
+first-occurrence order.  ``emit(..., times=n)`` records ``n``
+occurrences at once, so an emission site may count its rows first and
+emit each distinct event once; the trail is the same as ``n`` single
+emits.  :data:`NULL_AUDIT` keeps the disabled path
 allocation-free: emission sites guard on ``audit.enabled`` before
 building any event.  Query the trail via
 ``MultiLogSession.audit_log()``; export it with :meth:`AuditLog.to_jsonl`
@@ -107,9 +110,14 @@ class AuditLog:
         self._counts: dict[AuditEvent, int] = {}
 
     def emit(self, kind: str, subject: str | None = None, object: str | None = None,
-             mode: str | None = None, predicate: str | None = None, **detail) -> None:
+             mode: str | None = None, predicate: str | None = None, *,
+             times: int = 1, **detail) -> None:
+        """Record ``times`` occurrences of one event (the same trail as
+        ``times`` single emits)."""
         if kind not in AUDIT_KINDS:
             raise ValueError(f"unknown audit kind {kind!r}; one of {AUDIT_KINDS}")
+        if times < 1:
+            raise ValueError(f"an audit event occurs at least once, not {times}")
         event = AuditEvent(
             kind, subject, object, mode, predicate,
             tuple(sorted((k, str(v)) for k, v in detail.items())),
@@ -117,9 +125,9 @@ class AuditLog:
         seen = self._counts.get(event)
         if seen is None:
             self._order.append(event)
-            self._counts[event] = 1
+            self._counts[event] = times
         else:
-            self._counts[event] = seen + 1
+            self._counts[event] = seen + times
 
     # -- querying --------------------------------------------------------
     def events(self, kind: str | None = None) -> list[AuditEvent]:
@@ -176,7 +184,8 @@ class NullAudit:
     enabled = False
 
     def emit(self, kind: str, subject: str | None = None, object: str | None = None,
-             mode: str | None = None, predicate: str | None = None, **detail) -> None:
+             mode: str | None = None, predicate: str | None = None, *,
+             times: int = 1, **detail) -> None:
         pass
 
     def events(self, kind: str | None = None) -> list[AuditEvent]:

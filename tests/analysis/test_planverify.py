@@ -10,6 +10,10 @@ Three layers of guarantee:
   *before* ``exec``, so an unsound plan can never fire.
 """
 
+import gc
+import sys
+import threading
+
 import pytest
 
 from repro.analysis.planverify import verify_plan, verify_plan_source
@@ -225,3 +229,56 @@ class TestWiring:
 
         monkeypatch.setattr(planverify, "verify_plan_source", explode)
         compile_rule(rule)  # identical source: memo hit, no re-verify
+
+
+class TestConcurrentVerification:
+    """Executor threads verify new plans concurrently.  CPython 3.11's
+    ``ast.parse`` keeps its recursion depth in interpreter-wide state;
+    a garbage-collector finalizer that runs Python code mid-parse lets
+    another thread's parse interleave, and both fail with
+    ``SystemError: AST constructor recursion depth mismatch``.  The
+    verifier serializes its parse, so none may fail."""
+
+    THREADS = 4
+    PARSES = 150
+
+    def test_parallel_parses_never_raise(self):
+        [rule] = _prepared_rules(
+            "e(a, b). f(b, c). p(X, Z) :- e(X, Y), f(Y, Z), X != Z.")
+        plan = compile_batch_rule(rule, {rule.head.predicate})
+
+        class Garbage:
+            def __init__(self):
+                self.cycle = self
+
+            def __del__(self):
+                sum(range(50))
+
+        failures = []
+
+        def verify():
+            for _ in range(self.PARSES):
+                [Garbage() for _ in range(5)]
+                try:
+                    report = verify_plan_source(rule, plan.source,
+                                                plan.access_paths, "batch")
+                except SystemError as exc:
+                    failures.append(exc)
+                else:
+                    assert report.ok, report.render_text()
+
+        interval, threshold = sys.getswitchinterval(), gc.get_threshold()
+        sys.setswitchinterval(1e-6)
+        gc.set_threshold(10, 1, 1)
+        try:
+            threads = [threading.Thread(target=verify)
+                       for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*threshold)
+            gc.collect()
+        assert not failures, f"{len(failures)} parses failed: {failures[0]!r}"

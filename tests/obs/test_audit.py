@@ -65,6 +65,41 @@ class TestAuditLog:
         NULL_AUDIT.emit("cross_level_read", subject="s")  # no-op, no error
         assert len(NULL_AUDIT) == 0
 
+    def test_multiplicity_equals_repeated_single_emits(self):
+        events = [
+            ("cross_level_read", dict(subject="s", object="u", mode="opt",
+                                      predicate="acct"), 3),
+            ("override", dict(subject="s", object="u", mode="cau",
+                              predicate="acct", attribute="balance"), 1),
+            ("cross_level_read", dict(subject="s", object="c", mode="opt",
+                                      predicate="acct"), 2),
+            ("cross_level_read", dict(subject="s", object="u", mode="opt",
+                                      predicate="acct"), 4),
+        ]
+        batched, single = AuditLog(), AuditLog()
+        for kind, fields, times in events:
+            batched.emit(kind, times=times, **fields)
+            for _ in range(times):
+                single.emit(kind, **fields)
+        assert list(batched) == list(single)
+        assert [batched.count(e) for e in batched] == [7, 1, 2]
+        assert [batched.count(e) for e in batched] == [single.count(e) for e in single]
+        assert batched.to_dicts() == single.to_dicts()
+        assert batched.to_jsonl() == single.to_jsonl()
+        assert batched.render() == single.render()
+
+    @pytest.mark.parametrize("times", [0, -1])
+    def test_non_positive_multiplicity_rejected(self, times):
+        log = AuditLog()
+        with pytest.raises(ValueError):
+            log.emit("cross_level_read", subject="s", object="u", times=times)
+        assert len(log) == 0
+
+    def test_null_audit_accepts_multiplicity(self):
+        NULL_AUDIT.emit("cross_level_read", subject="s", object="u", times=5)
+        assert len(NULL_AUDIT) == 0
+        assert NULL_AUDIT.to_jsonl() == ""
+
     def test_event_is_hashable_and_frozen(self):
         event = AuditEvent(kind="assert", subject="s")
         assert {event: 1}[event] == 1
