@@ -38,6 +38,7 @@ the row-level ``probe_count``/``candidate_calls``.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 
 from repro.datalog.atoms import Atom
@@ -67,7 +68,7 @@ class _Table:
 
     __slots__ = ("arity", "coded", "n", "_coded_list", "_columns",
                  "_columns_upto", "_decoded", "_decoded_upto",
-                 "_row_indexes", "_batch_indexes")
+                 "_row_indexes", "_batch_indexes", "_lock")
 
     def __init__(self, arity: int):
         self.arity = arity
@@ -88,6 +89,10 @@ class _Table:
         #: batch hash tables: (key_pos, keep_pos, eq_pairs) ->
         #: [key -> list of keep-tuples, upto].
         self._batch_indexes: dict[tuple, list] = {}
+        #: held while a projection catches up: a published least model is
+        #: read by many threads, and two catching up at once would append
+        #: the same rows twice.
+        self._lock = threading.Lock()
 
     def coded_rows(self) -> list[CodedRow]:
         """All rows as coded tuples, insertion order (the spine itself)."""
@@ -96,10 +101,11 @@ class _Table:
     def columns(self) -> tuple[list[int], ...]:
         """Per-position code arrays, caught up to the spine on access."""
         if self._columns_upto < self.n:
-            tail = self._coded_list[self._columns_upto:]
-            for position, column in enumerate(self._columns):
-                column.extend([row[position] for row in tail])
-            self._columns_upto = self.n
+            with self._lock:
+                tail = self._coded_list[self._columns_upto:]
+                for position, column in enumerate(self._columns):
+                    column.extend([row[position] for row in tail])
+                self._columns_upto = self.n
         return self._columns
 
     def append(self, fresh) -> None:
@@ -289,11 +295,12 @@ class ColumnarDatabase:
 
     def _decoded_rows(self, table: _Table) -> set[Row]:
         if table._decoded_upto < table.n:
-            decode = self._decode
-            coded = table.coded_rows()
-            table._decoded.update(
-                decode(row) for row in coded[table._decoded_upto:])
-            table._decoded_upto = table.n
+            with table._lock:
+                decode = self._decode
+                coded = table.coded_rows()
+                table._decoded.update(
+                    decode(row) for row in coded[table._decoded_upto:])
+                table._decoded_upto = table.n
         return table._decoded
 
     def contains(self, predicate: str, row: Row) -> bool:
@@ -329,17 +336,17 @@ class ColumnarDatabase:
             if any(p >= table.arity for p in positions):
                 continue
             entry = table._row_indexes.get(positions)
-            if entry is None:
-                entry = [{}, 0]
-                table._row_indexes[positions] = entry
-            index, upto = entry
-            if upto < table.n:
-                decode = self._decode
-                for coded in table.coded_rows()[upto:]:
-                    row = decode(coded)
-                    key = tuple(row[p] for p in positions)
-                    index.setdefault(key, []).append(row)
-                entry[1] = table.n
+            if entry is None or entry[1] < table.n:
+                with table._lock:
+                    entry = table._row_indexes.setdefault(positions, [{}, 0])
+                    index, upto = entry
+                    decode = self._decode
+                    for coded in table.coded_rows()[upto:]:
+                        row = decode(coded)
+                        key = tuple(row[p] for p in positions)
+                        index.setdefault(key, []).append(row)
+                    entry[1] = table.n
+            index = entry[0]
             if single:
                 return index
             for key, bucket in index.items():
@@ -413,23 +420,24 @@ class ColumnarDatabase:
             return {}
         spec = (key_positions, keep_positions, eq_pairs, bare_keep)
         entry = table._batch_indexes.get(spec)
-        if entry is None:
-            entry = [{}, 0]
-            table._batch_indexes[spec] = entry
-        index, upto = entry
-        if upto < table.n:
-            self.batch_build_count += 1
-            rows = table.coded_rows()
-            single = len(key_positions) == 1
-            key0 = key_positions[0] if single else None
-            keep0 = keep_positions[0] if bare_keep else None
-            setdefault = index.setdefault
-            for row in rows[upto:]:
-                if eq_pairs and any(row[a] != row[b] for a, b in eq_pairs):
-                    continue
-                key = row[key0] if single else tuple(row[p] for p in key_positions)
-                setdefault(key, []).append(
-                    row[keep0] if bare_keep
-                    else tuple(row[p] for p in keep_positions))
-            entry[1] = table.n
+        if entry is not None and entry[1] >= table.n:
+            return entry[0]
+        with table._lock:
+            entry = table._batch_indexes.setdefault(spec, [{}, 0])
+            index, upto = entry
+            if upto < table.n:
+                self.batch_build_count += 1
+                rows = table.coded_rows()
+                single = len(key_positions) == 1
+                key0 = key_positions[0] if single else None
+                keep0 = keep_positions[0] if bare_keep else None
+                setdefault = index.setdefault
+                for row in rows[upto:]:
+                    if eq_pairs and any(row[a] != row[b] for a, b in eq_pairs):
+                        continue
+                    key = row[key0] if single else tuple(row[p] for p in key_positions)
+                    setdefault(key, []).append(
+                        row[keep0] if bare_keep
+                        else tuple(row[p] for p in keep_positions))
+                entry[1] = table.n
         return index

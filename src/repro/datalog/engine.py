@@ -530,7 +530,11 @@ def evaluate_goal_rules(db: Database, rules: Iterable[Rule]) -> dict[str, set[Ro
             ordered = Rule(rule.head, reorder_body(greedy_join_order(rule.body), rule))
             plan = compile_rule(ordered)
             rows = plan.fire(db)
-            metrics.rule_fired(repr(plan.rule), len(rows))
+            # Labelled by head predicate, not source text: goal rules carry
+            # the query's constants, and one label per distinct query
+            # would grow the collector without bound in a long-lived
+            # session.
+            metrics.rule_fired(plan.head_predicate, len(rows))
             derived.setdefault(plan.head_predicate, set()).update(rows)
         span.set(answers=sum(len(rows) for rows in derived.values()))
     metrics.add_probes(db.probe_count - probes_before)

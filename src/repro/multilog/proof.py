@@ -29,10 +29,12 @@ b-atom provability is guarded by ``level <= u`` and ``cls <= u``
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from repro.cache import build_lock
 from repro.datalog.engine import MAX_ROUND_SPANS
 from repro.datalog.terms import Constant, Term
 from repro.datalog.unify import Substitution, unify_terms, walk
@@ -184,7 +186,10 @@ class OperationalEngine:
         self._user_modes = self._discover_user_modes()
         self._cells: dict[CellRow, int] = {}
         self._pfacts: dict[PRow, int] = {}
+        #: set only after ``_cells``/``_pfacts`` hold the finished fixpoint;
+        #: sessions at this clearance share the engine and read them.
         self._computed = False
+        self._lock = threading.Lock()
 
     # -- user-defined belief modes --------------------------------------
     def _discover_user_modes(self) -> set[str]:
@@ -208,15 +213,23 @@ class OperationalEngine:
 
     # -- fixpoint ---------------------------------------------------------
     def compute(self) -> "OperationalEngine":
-        """Run the alternating fixpoint (idempotent).
+        """Run the alternating fixpoint (idempotent, built once).
 
         Reports into the ambient observation context: a ``fixpoint`` span
         with one ``round[i]`` child per outer round, per-clause firing
         counts and ``operational-outer``/``operational-inner`` round
         counts.  An ambient budget meter bounds the inner passes.
+        Concurrent callers wait for the run in progress; a run that
+        raises publishes nothing.
         """
         if self._computed:
             return self
+        with build_lock(self._lock, "operational-fixpoint"):
+            if not self._computed:
+                self._compute()
+        return self
+
+    def _compute(self) -> None:
         ctx = _current_obs()
         recorder, metrics, meter = ctx.recorder, ctx.metrics, ctx.meter
         has_batoms = any(
@@ -240,7 +253,7 @@ class OperationalEngine:
                     metrics.record_rounds("operational-outer", outer)
                     fixpoint_span.set(outer_rounds=outer, cells=len(cells),
                                       pfacts=len(pfacts))
-                    return self
+                    return
                 previous = cells
         raise BeliefRecursionError(
             "the belief fixpoint did not converge within "
@@ -577,6 +590,12 @@ class OperationalEngine:
     def solve(self, query: Query) -> list[Substitution]:
         """All answer substitutions of a query under ``<Delta, u>``."""
         self.compute()
+        # The fixpoint may have been built by another request (engines are
+        # shared per snapshot): the caller's deadline still applies, as it
+        # does to the reduction engine's answer rules.
+        meter = _current_obs().meter
+        if meter is not None:
+            meter.check_time("solve")
         body = atomize_body(query.body)
         answers: list[Substitution] = []
         seen: set[tuple] = set()

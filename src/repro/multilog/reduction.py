@@ -33,10 +33,12 @@ Two documented repairs to the published Figure 12 (see DESIGN.md):
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.cache import VersionedMemo
+from repro.cache import VersionedMemo, build_lock
 from repro.datalog import Atom as DAtom
 from repro.datalog import (
     Database,
@@ -255,6 +257,10 @@ def compare_cautious_axiomatizations(db: MultiLogDatabase, clearance: str) -> di
 # ----------------------------------------------------------------------
 # Translation
 # ----------------------------------------------------------------------
+#: guards every :class:`ReducedProgram`'s ``_audited`` set (held briefly).
+_AUDITED_LOCK = threading.Lock()
+
+
 @dataclass
 class ReducedProgram:
     """``Delta_r = <tau(Delta), A>`` ready for bottom-up evaluation."""
@@ -267,20 +273,37 @@ class ReducedProgram:
     #: resolved storage backend the least model is computed on; the
     #: columnar backend is paired with the vectorized strategy.
     backend: str = "dict"
+    #: the least model, published whole by :meth:`model` and never edited
+    #: afterwards: every session at this program's clearance reads it.
     _model: Database | None = None
     #: how many times the full fixpoint actually ran -- repeated queries
     #: against the cached least model must leave this at 1.
     fixpoint_runs: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
+    #: audit logs this model has been walked into (:meth:`audit_once`).
+    _audited: "weakref.WeakSet" = field(default_factory=weakref.WeakSet,
+                                        repr=False, compare=False)
 
     # -- evaluation -------------------------------------------------------
     def model(self) -> Database:
-        """The stratified least model (cached)."""
-        if self._model is None:
-            self.fixpoint_runs += 1
-            strategy = "vectorized" if self.backend == "columnar" else "compiled"
-            self._model = evaluate(self.program, strategy=strategy,
-                                   backend=self.backend)
-        return self._model
+        """The stratified least model, built once.
+
+        Concurrent callers wait for the build in progress; a build that
+        raises (a budget abort, say) publishes nothing, and the next
+        caller builds again.
+        """
+        model = self._model
+        if model is None:
+            with build_lock(self._lock, "reduction-model"):
+                model = self._model
+                if model is None:
+                    strategy = "vectorized" if self.backend == "columnar" else "compiled"
+                    model = evaluate(self.program, strategy=strategy,
+                                     backend=self.backend)
+                    self.fixpoint_runs += 1
+                    self._model = model
+        return model
 
     def rel_rows(self) -> set[tuple]:
         """All derived cells as ``(p, k, a, v, c, l)`` rows."""
@@ -310,7 +333,20 @@ class ReducedProgram:
                     rows.add(tuple(row[:5]))
         return rows
 
-    def audit_model(self, audit) -> None:
+    def audit_once(self, audit, model: Database | None = None) -> None:
+        """Walk the model into ``audit`` (:meth:`audit_model`) once per log.
+
+        Every session sharing this program would emit the same events, so
+        the trail of a snapshot does not depend on how its asks spread
+        over the pooled sessions.
+        """
+        with _AUDITED_LOCK:
+            if audit in self._audited:
+                return
+            self._audited.add(audit)
+        self.audit_model(audit, model)
+
+    def audit_model(self, audit, model: Database | None = None) -> None:
         """Emit MLS audit events implied by the computed least model.
 
         The reduction path never *enumerates* downward reads while
@@ -320,13 +356,18 @@ class ReducedProgram:
         ``cross_level_read``, and every ``outranked`` row is a cautious
         ``override``.  Only believing levels at or below this program's
         clearance are reported (levels above it are never served).
+
+        ``model`` defaults to :meth:`model`.  Events are counted per
+        distinct event and emitted in sorted order, each once with its
+        count, so the trail does not depend on the order the model's row
+        sets iterate in (which varies with the string hash seed).
         """
         lattice = self.context.lattice
-        model = self.model()
-        # Rows are counted per distinct event, first occurrence first, and
-        # each event is emitted once with its count: the same trail as one
-        # emit per row.
-        events: Counter[tuple[str, str, str, str, str | None]] = Counter()
+        if model is None:
+            model = self.model()
+        # (kind, believer, source or class, predicate, attribute); reads
+        # carry no attribute.
+        events: Counter[tuple[str, str, str, str, str]] = Counter()
         if self.specialized:
             for level in sorted(lattice.levels):
                 if not lattice.leq(level, self.clearance):
@@ -335,7 +376,7 @@ class ReducedProgram:
                     source = str(row[5])
                     if source != level:
                         events["cross_level_read", level, source,
-                               str(row[0]), None] += 1
+                               str(row[0]), ""] += 1
                 for row in model.rows(_outranked_at(level)):
                     events["override", level, str(row[3]),
                            str(row[0]), str(row[2])] += 1
@@ -344,27 +385,31 @@ class ReducedProgram:
                 source, believer = str(row[5]), str(row[6])
                 if source != believer and lattice.leq(believer, self.clearance):
                     events["cross_level_read", believer, source,
-                           str(row[0]), None] += 1
+                           str(row[0]), ""] += 1
             for row in model.rows("outranked"):
                 believer = str(row[4])
                 if lattice.leq(believer, self.clearance):
                     events["override", believer, str(row[3]),
                            str(row[0]), str(row[2])] += 1
-        for (kind, subject, source, pred, attr), times in events.items():
-            if attr is None:
+        for (kind, subject, source, pred, attr), times in sorted(events.items()):
+            if kind == "cross_level_read":
                 audit.emit(kind, subject=subject, object=source, mode="opt",
                            predicate=pred, times=times)
             else:
                 audit.emit(kind, subject=subject, object=source, mode="cau",
                            predicate=pred, attribute=attr, times=times)
 
-    def query(self, query: Query) -> list[dict[str, object]]:
+    def query(self, query: Query,
+              model: Database | None = None) -> list[dict[str, object]]:
         """Answer a MultiLog query against the reduced program.
 
-        Returns one ``{variable_name: value}`` dict per distinct answer.
-        The least model is computed once (see :meth:`model`); each query
+        Returns one ``{variable_name: value}`` dict per distinct answer,
+        in a fixed order (sorted by row).  The least model is computed once (see :meth:`model`); each query
         only fires its non-recursive ``__answer`` rules against it, so
-        repeated asks never re-run the fixpoint.
+        repeated asks never re-run the fixpoint.  ``model`` serves the
+        query from a caller's private model instead (the resilience
+        layer's lower-rung and partial models), leaving the shared one
+        untouched.
         """
         body = atomize_body(query.body)
         variables = sorted(
@@ -376,10 +421,14 @@ class ReducedProgram:
         for grounding, datalog_body in translator.body_alternatives(body):
             head_args = tuple(translator._subst_term(v, grounding) for v in variables)
             goal_rules.append(Rule(DAtom(ANSWER_PREDICATE, head_args), datalog_body))
-        rows = evaluate_goal_rules(self.model(), goal_rules).get(ANSWER_PREDICATE, set())
+        if model is None:
+            model = self.model()
+        rows = evaluate_goal_rules(model, goal_rules).get(ANSWER_PREDICATE, set())
+        # Sorted: a row set iterates in an order that varies with the
+        # string hash seed and the model's insertion history.
         return [
             {v.name: value for v, value in zip(variables, row)}
-            for row in rows
+            for row in sorted(rows, key=repr)
         ]
 
 

@@ -27,16 +27,24 @@ Sessions sharing one database stay coherent: cached engines are keyed on
 ``database.version``, so a sibling created by :meth:`with_clearance`
 sees clauses asserted through any other session (the pre-fix behaviour
 served stale answers from the sibling's cached engine).
+
+Sessions are thin: the admissibility context, the operational engine and
+the tau-translated program of one ``(version, clearance, backend)`` are
+immutable snapshots built once and shared by every session over the
+database at that clearance and backend (Theorem 6.1 lets one least model
+serve every reader at a clearance).
 """
 
 from __future__ import annotations
 
 import random
 import threading
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
+from repro.cache import VersionedMemo
 from repro.datalog.storage import resolve_backend
 from repro.datalog.terms import Constant
 from repro.errors import (
@@ -71,6 +79,13 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 #: Level injected when a program declares no lattice at all -- the
 #: degenerate Datalog case of Proposition 6.1 ("perhaps system").
 SYSTEM_LEVEL = "system"
+
+#: per-database snapshots shared by sibling sessions: the admissibility
+#: context and (a weak reference to) the operational engine of one
+#: ``(version, clearance, backend)``, keyed ``(kind, clearance, backend)``.
+#: The reduced program is shared the same way through the tau-translation
+#: memo.
+_SNAPSHOTS = VersionedMemo("session-snapshots")
 
 
 class MultiLogSession:
@@ -127,8 +142,6 @@ class MultiLogSession:
         self._sample_rng: random.Random | None = None
         #: security-audit trail (off by default; :meth:`enable_audit`).
         self._audit: AuditLog | None = None
-        #: database version whose reduction model was last audit-walked.
-        self._audited_model_version: int | None = None
         #: armed :class:`~repro.resilience.FaultPlan` (chaos testing); asks
         #: also honour a plan on the ambient ObsContext.
         self._fault_plan = None
@@ -167,7 +180,10 @@ class MultiLogSession:
 
         ``assert_clause`` through any session over the same database
         bumps ``database.version``; comparing against the version our
-        caches were built at keeps every sibling session coherent.
+        caches were built at keeps every sibling session coherent.  The
+        fresh context comes from the shared snapshot of the new version
+        (computed by the first sibling to need it, or published by the
+        assert that made the version).
 
         Ordering matters: the stale caches are dropped *first* and the
         version is committed *last*, only after a fresh context is in
@@ -181,8 +197,13 @@ class MultiLogSession:
         if version != self._cache_version:
             self._engine = None
             self._reduced = None
-            self.context = check_admissibility(self.database)
+            self.context = _SNAPSHOTS.get_or_compute(
+                self.database, version, self._snapshot_key("context"),
+                lambda: check_admissibility(self.database))
             self._cache_version = version
+
+    def _snapshot_key(self, kind: str) -> tuple[str, str, str]:
+        return (kind, self.clearance, self.backend)
 
     @property
     def lattice(self):
@@ -192,12 +213,32 @@ class MultiLogSession:
     def engine(self) -> OperationalEngine:
         self._revalidate()
         if self._engine is None:
-            self._engine = OperationalEngine(self.database, self.clearance, self.context)
+            self._engine = self._shared_engine()
         return self._engine
+
+    def _shared_engine(self) -> OperationalEngine:
+        """The operational engine of this session's snapshot.
+
+        The memo holds it weakly and the sessions using it hold it: an
+        engine references its database, and a strong entry in a memo keyed
+        weakly on that database would keep the database alive forever.
+        """
+        built: list[OperationalEngine] = []
+
+        def build():
+            built.append(OperationalEngine(self.database, self.clearance, self.context))
+            return weakref.ref(built[0])
+
+        key = self._snapshot_key("engine")
+        engine = _SNAPSHOTS.get_or_compute(self.database, self._cache_version, key, build)()
+        if engine is None:  # every session that used it has let it go
+            engine = OperationalEngine(self.database, self.clearance, self.context)
+            _SNAPSHOTS.put(self.database, self._cache_version, key, weakref.ref(engine))
+        return engine
 
     @property
     def reduced(self) -> ReducedProgram:
-        """The tau-translated Datalog program (Section 6), cached."""
+        """The tau-translated Datalog program (Section 6), shared."""
         self._revalidate()
         if self._reduced is None:
             self._reduced = translate(self.database, self.clearance, self.context,
@@ -322,7 +363,15 @@ class MultiLogSession:
         with self._single_flight("ask"):
             return self._ask_locked(query, engine)
 
-    def _ask_locked(self, query: str | Query, engine: str) -> list[dict[str, object]]:
+    def _ask_model(self, query: str | Query, model) -> list[dict[str, object]]:
+        """:meth:`ask` through the reduction engine, served from ``model``,
+        a least model private to the caller (the resilience layer's
+        lower-rung fallback).  The shared snapshot is left untouched."""
+        with self._single_flight("ask"):
+            return self._ask_locked(query, "reduction", model)
+
+    def _ask_locked(self, query: str | Query, engine: str,
+                    model=None) -> list[dict[str, object]]:
         if engine not in ("operational", "reduction"):
             raise MultiLogError(f"unknown engine {engine!r}; use 'operational' or 'reduction'")
         # Head-based sampling: decide before any span exists.  Unsampled
@@ -365,9 +414,13 @@ class MultiLogSession:
                     if engine == "operational":
                         answers = self.engine.solve(parsed)
                     else:
-                        answers = self.reduced.query(parsed)
+                        reduced = self.reduced
+                        answers = reduced.query(parsed, model=model)
                         if ctx.audit.enabled:
-                            self._audit_reduction_model(ctx.audit)
+                            # The reduction derives its cross-level reads
+                            # as Datalog facts, so the trail is projected
+                            # off the model: once per snapshot and log.
+                            reduced.audit_once(ctx.audit, model)
                     span.set(answers=len(answers))
         except BudgetExceededError as exc:
             self._finish_ask(recorder, query, budget_exceeded=exc.reason)
@@ -510,20 +563,6 @@ class MultiLogSession:
     def audit_log(self) -> AuditLog | None:
         """The session's audit trail (``None`` until :meth:`enable_audit`)."""
         return self._audit
-
-    def _audit_reduction_model(self, audit: AuditLog) -> None:
-        """Walk the reduced model's vis/outranked rows into the audit log.
-
-        The reduction engine derives its cross-level reads as ordinary
-        Datalog facts rather than through beta, so after a reduction ask
-        we project the audit events straight off the fixpoint model.
-        Guarded per database version: the model only changes when the
-        database does, and the AuditLog dedups anyway.
-        """
-        if self._audited_model_version == self.database.version:
-            return
-        self._audited_model_version = self.database.version
-        self.reduced.audit_model(audit)
 
     # ------------------------------------------------------------------
     def explain(self, query: str | Query | None = None,
@@ -676,6 +715,11 @@ class MultiLogSession:
         except Exception:
             database.retract(parsed)
             raise
+        # Published only now that the clause is kept: a rejected trial add
+        # restores the old version number, which a later clause reuses, so
+        # a context built at a trial version must never be shared.
+        _SNAPSHOTS.put(database, database.version, self._snapshot_key("context"),
+                       context)
         self.context = context
         self._engine = None
         self._reduced = None

@@ -47,6 +47,7 @@ or the ``multilog audit`` subcommand.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 #: The audit event kinds, in the order the table above documents them.
@@ -101,13 +102,18 @@ class AuditEvent:
 class AuditLog:
     """Append-only, deduplicating store of audit events."""
 
-    __slots__ = ("_order", "_counts")
+    # Weakly referenceable: a reduced program remembers which logs it has
+    # walked its model into without keeping them alive.
+    __slots__ = ("_order", "_counts", "_lock", "__weakref__")
 
     enabled = True
 
     def __init__(self) -> None:
         self._order: list[AuditEvent] = []
         self._counts: dict[AuditEvent, int] = {}
+        #: one server-wide log takes emits from every executor thread;
+        #: the count update is a read-modify-write.
+        self._lock = threading.Lock()
 
     def emit(self, kind: str, subject: str | None = None, object: str | None = None,
              mode: str | None = None, predicate: str | None = None, *,
@@ -122,12 +128,13 @@ class AuditLog:
             kind, subject, object, mode, predicate,
             tuple(sorted((k, str(v)) for k, v in detail.items())),
         )
-        seen = self._counts.get(event)
-        if seen is None:
-            self._order.append(event)
-            self._counts[event] = times
-        else:
-            self._counts[event] = seen + times
+        with self._lock:
+            seen = self._counts.get(event)
+            # Count before order: readers iterate ``_order`` unlocked and
+            # look each event up in ``_counts``.
+            self._counts[event] = times if seen is None else seen + times
+            if seen is None:
+                self._order.append(event)
 
     # -- querying --------------------------------------------------------
     def events(self, kind: str | None = None) -> list[AuditEvent]:
@@ -146,8 +153,9 @@ class AuditLog:
         return iter(self._order)
 
     def clear(self) -> None:
-        self._order.clear()
-        self._counts.clear()
+        with self._lock:
+            self._order.clear()
+            self._counts.clear()
 
     # -- export ----------------------------------------------------------
     def to_dicts(self) -> list[dict]:

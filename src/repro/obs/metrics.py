@@ -53,7 +53,9 @@ class EngineMetrics:
 
     ``rule_firings`` maps a rule's source form to how many times it fired
     (compiled/semi-naive: calls of its join plan; operational: solutions
-    of its body); ``rows_derived`` counts the rows those firings emitted
+    of its body); a query's goal rules are counted under their head
+    predicate (``__answer``), so the label set stays bounded by the
+    program's rules plus one.  ``rows_derived`` counts the rows those firings emitted
     *before* deduplication against the store.  ``rounds`` maps a fixpoint
     scope (``stratum[i]``, ``operational-inner``, ...) to its round
     count.  ``spans`` is the span forest of the most recent traced

@@ -245,17 +245,15 @@ class ResilientExecutor:
             try:
                 if rung == rungs[0]:
                     return session.ask(query, engine=engine)
-                # A lower rung: rebuild the reduced program's least model
-                # with the simpler strategy, then serve the ask from it.
-                # (The operational engine has no strategy knob; the
-                # reduction semantics answers the same queries --
-                # Theorem 6.1.)
-                reduced = session.reduced
-                reduced._model = None
-                reduced._model = _engine_evaluate(reduced.program, strategy=rung,
-                                                  budget=self.budget)
-                reduced.fixpoint_runs += 1
-                return session.ask(query, engine="reduction")
+                # A lower rung: build a private least model with the
+                # simpler strategy and serve the ask from it.  The shared
+                # model of the snapshot is never edited: sibling sessions
+                # may be reading it.  (The operational engine has no
+                # strategy knob; the reduction semantics answers the same
+                # queries -- Theorem 6.1.)
+                model = _engine_evaluate(session.reduced.program, strategy=rung,
+                                         budget=self.budget)
+                return session._ask_model(query, model)
             except BudgetExceededError:
                 raise
             except BaseException:
@@ -314,14 +312,8 @@ class ResilientExecutor:
             from repro.multilog.parser import parse_query
             from repro.obs.context import DISABLED, use as _use_obs
 
-            reduced = session.reduced
             parsed = parse_query(query) if isinstance(query, str) else query
-            saved = reduced._model
-            reduced._model = partial
-            try:
-                with _use_obs(DISABLED):
-                    return reduced.query(parsed)
-            finally:
-                reduced._model = saved
+            with _use_obs(DISABLED):
+                return session.reduced.query(parsed, model=partial)
         except ReproError:
             return []

@@ -97,3 +97,38 @@ class TestVersionCounter:
         db = Database()
         db.add("p", ("a",))
         assert db.copy().version == db.version
+
+
+def test_columnar_projections_catch_up_once_under_threads():
+    """A published least model is read by many threads at once; the first
+    reads of a lazy projection must not append the same rows twice."""
+    import sys
+    import threading
+
+    from repro.datalog import evaluate, parse_program
+
+    program = parse_program(" ".join(f"e(n{i}, n{i % 50})." for i in range(5000)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            db = evaluate(program, strategy="vectorized", backend="columnar")
+            barrier = threading.Barrier(8, timeout=10)
+
+            def first_reads():
+                barrier.wait()
+                db.index("e", (1,))
+                db.batch_index("e", 2, (1,), (0,))
+                db.column("e", 2, 0)
+
+            threads = [threading.Thread(target=first_reads) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert sum(map(len, db.index("e", (1,)).values())) == 5000
+            assert sum(map(len, db.batch_index("e", 2, (1,), (0,)).values())) == 5000
+            assert len(db.column("e", 2, 0)) == 5000
+    finally:
+        sys.setswitchinterval(interval)

@@ -54,6 +54,92 @@ class TestLeastModelReuse:
         assert a.reduced is b.reduced
         assert a.reduced.fixpoint_runs == 1
 
+    def test_concurrent_siblings_build_each_snapshot_once(self, monkeypatch):
+        """Two siblings asking together: one builds the least model and
+        the operational fixpoint, the other waits for it (a
+        ``snapshot-wait`` span on its trace) and counts no firings."""
+        import threading
+
+        import repro.multilog.reduction as reduction
+
+        db = parse_database(SOURCE)
+        builder = MultiLogSession(db, clearance="s")
+        waiter = builder.with_clearance("s")
+        building, release = threading.Event(), threading.Event()
+        real = reduction.evaluate
+
+        def held_evaluate(*args, **kwargs):
+            building.set()
+            assert release.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "evaluate", held_evaluate)
+        results = {}
+        thread = threading.Thread(target=lambda: results.setdefault(
+            "builder", builder.ask(QUERY, engine="reduction")))
+        thread.start()
+        assert building.wait(10)
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        answers = waiter.ask(QUERY, engine="reduction")
+        thread.join(10)
+        timer.join(10)
+        assert not thread.is_alive()
+        assert answers == results["builder"] == [{"B": 900, "C": "s"}]
+        assert builder.reduced is waiter.reduced
+        assert builder.reduced.fixpoint_runs == 1
+        names = [span["name"] for span in waiter.last_trace().to_dicts()[0]["children"]]
+        assert "snapshot-wait" in names
+        assert "evaluate" not in names
+        program_rules = {repr(rule) for rule in builder.reduced.program.rules}
+        assert not program_rules & set(waiter.last_stats().rule_firings)
+        assert program_rules & set(builder.last_stats().rule_firings)
+
+        # The operational engine is shared and its fixpoint runs once too.
+        assert builder.engine is waiter.engine
+        builder.ask(QUERY)
+        assert builder.engine._computed
+        fired_before = dict(waiter.last_stats().rule_firings)
+        waiter.ask(QUERY)
+        assert {label: n for label, n in waiter.last_stats().rule_firings.items()
+                if fired_before.get(label) != n} == {}
+
+    def test_shared_engine_still_enforces_the_deadline(self):
+        """A sibling that finds the fixpoint already built still answers
+        ``timeout`` when its own deadline has passed."""
+        import pytest
+
+        from repro.errors import BudgetExceededError
+        from repro.obs import EvaluationBudget
+
+        first = MultiLogSession(parse_database(SOURCE), clearance="s")
+        first.ask(QUERY)  # builds the shared operational engine
+        late = first.with_clearance("s")
+        late.budget = EvaluationBudget(timeout_s=1e-9)
+        assert late.engine is first.engine
+        for engine in ("operational", "reduction"):
+            with pytest.raises(BudgetExceededError) as info:
+                late.ask(QUERY, engine=engine)
+            assert info.value.reason == "timeout"
+
+    def test_dropped_sessions_free_their_database(self):
+        """Shared snapshots are keyed weakly on the database: the engine
+        refers back to its database, so the memo must not hold it
+        strongly or no database would ever be freed."""
+        import gc
+        import weakref
+
+        session = MultiLogSession(SOURCE, clearance="s")
+        sibling = session.with_clearance("s")
+        for engine in ("operational", "reduction"):
+            session.ask(QUERY, engine=engine)
+            sibling.ask(QUERY, engine=engine)
+        assert session.engine is sibling.engine
+        database = weakref.ref(session.database)
+        del session, sibling
+        gc.collect()
+        assert database() is None
+
     def test_translate_memo_invalidated_by_version(self):
         db = parse_database(SOURCE)
         first = translate(db, "s")

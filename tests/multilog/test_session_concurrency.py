@@ -166,7 +166,10 @@ def test_recover_without_backend_resolves_env(tmp_path, monkeypatch):
 
 def test_failed_revalidation_is_retried_not_pinned(monkeypatch):
     reader = MultiLogSession(D1_SOURCE, clearance="s")
-    writer = reader.with_clearance("s")
+    # The writer sits at another clearance: an assert publishes its
+    # validated context only for its own (clearance, backend) snapshot,
+    # so the reader must rebuild -- and that rebuild is what fails here.
+    writer = reader.with_clearance("c")
     baseline = reader.ask(ASK)  # build and cache the reader's engine
 
     writer.assert_clause("u[p(k4 : a -u-> 4)].")
@@ -195,3 +198,47 @@ def test_failed_revalidation_is_retried_not_pinned(monkeypatch):
     assert any(answer.get("K") == "k4" for answer in after)
     assert len(after) == len(baseline) + 1
     assert reader._cache_version == reader.database.version
+
+
+def test_same_clearance_reader_reuses_the_asserted_context(monkeypatch):
+    """An assert publishes its validated context (after the journal
+    append), so a sibling at the same clearance revalidates without
+    re-running the admissibility check."""
+    reader = MultiLogSession(D1_SOURCE, clearance="s")
+    writer = reader.with_clearance("s")
+    reader.ask(ASK)
+    writer.assert_clause("u[p(k4 : a -u-> 4)].")
+
+    def forbidden(database):
+        raise AssertionError("the published context was not reused")
+
+    monkeypatch.setattr(session_mod, "check_admissibility", forbidden)
+    assert any(answer.get("K") == "k4" for answer in reader.ask(ASK))
+    assert reader.context is writer.context
+    assert reader._cache_version == reader.database.version
+
+
+def test_rejected_assert_publishes_no_context(tmp_path, monkeypatch):
+    """A rejected trial add restores the old version number; a context
+    validated at that trial version must not be served once a different
+    mutation reuses the number."""
+    from repro.errors import JournalError
+    from repro.multilog.parser import parse_clause
+
+    reader = MultiLogSession(D1_SOURCE, clearance="s",
+                             journal=tmp_path / "d1.mlj")
+    writer = reader.with_clearance("s")
+    reader.ask(ASK)
+
+    def full_disk(text, version):
+        raise JournalError("disk full")
+
+    # Admissible, so the trial context is built -- with level x in it --
+    # and then the journal append rejects the clause.
+    monkeypatch.setattr(writer.journal, "append_clause", full_disk)
+    with pytest.raises(JournalError):
+        writer.assert_clause("level(x).")
+    # Another mutation takes the trial's version number.
+    reader.database.add(parse_clause("u[p(k4 : a -u-> 4)]."))
+    assert any(answer.get("K") == "k4" for answer in reader.ask(ASK))
+    assert "x" not in reader.lattice.levels

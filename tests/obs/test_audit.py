@@ -112,6 +112,33 @@ class TestAuditLog:
             "surprise_story", "assert", "recover", "slow_capture"}
 
 
+def test_concurrent_emits_lose_no_occurrence():
+    """One server-wide log takes emits from every executor thread; the
+    count update is a read-modify-write and must not lose occurrences."""
+    import sys
+    import threading
+
+    log = AuditLog()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def emit_many(index):
+            for step in range(3000):
+                log.emit("cross_level_read", subject="s", object="u",
+                         mode="opt", predicate=f"p{step % 3}")
+
+        threads = [threading.Thread(target=emit_many, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(log) == 3
+    assert [record["count"] for record in log.to_dicts()] == [8000, 8000, 8000]
+
+
 class TestSessionAudit:
     def make(self):
         session = MultiLogSession(SOURCE, clearance="s")
@@ -155,6 +182,68 @@ class TestSessionAudit:
         session, log = self.make()
         session.ask("s[acct(alice : balance -C-> B)] << opt", engine="reduction")
         assert log.events("cross_level_read")
+
+    def test_sibling_sessions_walk_each_snapshot_once(self, monkeypatch):
+        """The reduction trail is projected off the shared model once per
+        (snapshot, log), however the asks spread over pooled sessions."""
+        from repro.multilog.reduction import ReducedProgram
+
+        walks: list[int] = []
+        real = ReducedProgram.audit_model
+
+        def counting(reduced, *args):
+            walks.append(id(reduced))
+            return real(reduced, *args)
+
+        monkeypatch.setattr(ReducedProgram, "audit_model", counting)
+        first = MultiLogSession(SOURCE, clearance="s")
+        second = first.with_clearance("s")
+        log = first.enable_audit()
+        second.enable_audit(log)
+        query = "s[acct(alice : balance -C-> B)] << cau"
+        for session in (first, second, first, second):
+            session.ask(query, engine="reduction")
+        assert len(walks) == 1
+        one_walk = {event: log.count(event) for event in log.events("override")}
+        first.assert_clause("u[acct(bob : balance -u-> 1)].")
+        for session in (second, first, second):
+            session.ask(query, engine="reduction")
+        assert len(walks) == 2
+        assert len(set(walks)) == 2  # one walk per version's snapshot
+        assert {event: log.count(event) for event in one_walk} == {
+            event: 2 * count for event, count in one_walk.items()}
+
+    def test_reduction_trail_is_independent_of_the_hash_seed(self):
+        """The same reduction asks write byte-identical trails, and give
+        identically ordered answers, under two string hash seeds (the
+        model's row sets iterate differently)."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "from repro.multilog import MultiLogSession\n"
+            "from repro.workloads.generator import random_multilog_database\n"
+            "db = random_multilog_database(12, belief_rules=2, seed=3)\n"
+            "root = MultiLogSession(db, clearance='t')\n"
+            "log = root.enable_audit()\n"
+            "for level in ('t', 's', 'c'):\n"
+            "    session = root.with_clearance(level)\n"
+            "    session.enable_audit(log)\n"
+            "    for mode in ('opt', 'cau'):\n"
+            "        print(session.ask(f'{level}[p(K : a1 -C-> V)] << {mode}',\n"
+            "                          engine='reduction'))\n"
+            "print(log.to_jsonl())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        trails = []
+        for seed in ("5", "9"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            trails.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert trails[0].count("cross_level_read") > 1
+        assert trails[0] == trails[1]
 
     def test_filter_suppression_and_surprise(self):
         # The docs/OBSERVABILITY.md worked example: the u-observer sees

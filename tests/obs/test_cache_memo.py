@@ -3,9 +3,22 @@
 Regression for the over-invalidation bug: a stale lookup used to clear
 *every* entry for the owner, including siblings recomputed after the
 mutation -- so one cold key repeatedly evicted warm ones.
+
+Single-flight: concurrent misses on one (owner, key, version) compute
+once.  The store used to be iterated and pruned unlocked by every
+executor thread, and each concurrent miss recomputed.
 """
 
+import sys
+import threading
+import time
+
+import pytest
+
 from repro.cache import VersionedMemo
+from repro.errors import BudgetExceededError
+from repro.obs import EvaluationBudget, ObsContext, use
+from repro.obs.trace import TraceRecorder
 
 
 class Owner:
@@ -66,3 +79,134 @@ class TestVersionedMemo:
 
         gc.collect()
         assert len(memo._store) == 0
+
+
+# -- single-flight under threads -----------------------------------------
+
+THREADS = 8
+VERSIONS = 25
+
+
+def run_threads(target, count: int) -> list[BaseException]:
+    """Run ``target(index)`` on ``count`` threads; return their errors."""
+    errors: list[BaseException] = []
+
+    def guarded(index: int) -> None:
+        try:
+            target(index)
+        except BaseException as exc:  # noqa: BLE001 -- reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive(), "a memo caller hung"
+    return errors
+
+
+class TestSingleFlight:
+    def test_concurrent_misses_compute_once_per_version(self):
+        memo = VersionedMemo("test-single-flight")
+        owner = Owner()
+        computed: list[int] = []
+        seen: list[tuple[int, object]] = []
+        barrier = threading.Barrier(THREADS, timeout=10)
+
+        def caller(index: int) -> None:
+            try:
+                for version in range(VERSIONS):
+                    barrier.wait()  # every thread misses on this version together
+
+                    def compute(version=version):
+                        time.sleep(0.001)  # long enough for the others to overlap
+                        computed.append(version)
+                        return ("value", version)
+
+                    seen.append((version,
+                                 memo.get_or_compute(owner, version, "k", compute)))
+            except BaseException:
+                barrier.abort()  # release the other threads at once
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = run_threads(caller, THREADS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert sorted(computed) == list(range(VERSIONS))
+        assert all(value == ("value", version) for version, value in seen)
+        assert len(seen) == THREADS * VERSIONS
+        assert memo.stats.misses == VERSIONS
+        assert memo.stats.hits == (THREADS - 1) * VERSIONS
+
+    def test_failed_leader_hands_over_to_a_waiter(self):
+        memo = VersionedMemo("test-leader-fails")
+        owner = Owner()
+        started, release = threading.Event(), threading.Event()
+        computed: list[int] = []
+        results: dict[int, object] = {}
+
+        def failing():
+            started.set()
+            assert release.wait(10)
+            raise RuntimeError("leader's own budget tripped")
+
+        def succeeding():
+            # Recorded: whether the leader had already given up.
+            computed.append(release.is_set())
+            return "built by a waiter"
+
+        def caller(index: int) -> None:
+            if index == 0:
+                memo.get_or_compute(owner, 1, "k", failing)
+            else:
+                assert started.wait(10)
+                results[index] = memo.get_or_compute(owner, 1, "k", succeeding)
+
+        def unblock() -> None:
+            assert started.wait(10)
+            time.sleep(0.05)  # let the waiters block on the leader's flight
+            release.set()
+
+        threading.Thread(target=unblock).start()
+        errors = run_threads(caller, 4)
+        assert [str(e) for e in errors] == ["leader's own budget tripped"]
+        assert results == {1: "built by a waiter", 2: "built by a waiter",
+                           3: "built by a waiter"}
+        # Exactly one waiter took over, and only once the leader failed.
+        assert computed == [True]
+        assert memo.get_or_compute(owner, 1, "k", lambda: "again") == "built by a waiter"
+
+    def test_waiter_keeps_its_own_deadline(self):
+        memo = VersionedMemo("test-waiter-deadline")
+        owner = Owner()
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            assert release.wait(10)
+            return "slow value"
+
+        leader = threading.Thread(
+            target=lambda: memo.get_or_compute(owner, 1, "k", slow))
+        leader.start()
+        try:
+            assert started.wait(10)
+            recorder = TraceRecorder()
+            meter = EvaluationBudget(timeout_s=0.05).meter()
+            began = time.perf_counter()
+            with use(ObsContext(recorder, meter=meter)):
+                with pytest.raises(BudgetExceededError) as info:
+                    memo.get_or_compute(owner, 1, "k", lambda: "never")
+            assert info.value.reason == "timeout"
+            assert time.perf_counter() - began < 5.0
+            assert [span["name"] for span in recorder.to_dicts()] == ["snapshot-wait"]
+        finally:
+            release.set()
+            leader.join(10)
+        assert not leader.is_alive()
+        assert memo.get_or_compute(owner, 1, "k", lambda: "never") == "slow value"

@@ -81,6 +81,18 @@ class TestSessionStats:
         assert session.last_trace() is not first
 
 
+    def test_rule_labels_stay_bounded_over_distinct_asks(self):
+        """Goal rules carry the query's constants; labelling them by their
+        text grew the collector by one label per distinct query."""
+        session = MultiLogSession(SOURCE, clearance="s")
+        for index in range(500):
+            session.ask(f"s[acct(k{index} : balance -C-> B)] << cau",
+                        engine="reduction")
+        labels = session.last_stats().rule_firings
+        assert len(labels) <= len(session.reduced.program.rules) + 1
+        assert labels["__answer"] == 500
+
+
 class TestAmbientContext:
     def test_evaluate_reports_into_installed_context(self):
         program = parse_program(
