@@ -13,12 +13,20 @@ and read-merge-writes an ``export_overhead`` object into the repo-root
 trajectory is tracked PR over PR.  As with the tracing bench, the
 in-test assertion is deliberately looser than the target (shared CI
 runners are noisy); the measured numbers land in the JSON for review.
+
+The two paths run in interleaved pairs, alternating which goes first,
+and the reported overhead is the median of the per-pair ratios (the
+method ``serving_trace_overhead`` uses).  Host noise then hits both
+halves of a pair alike; two separate best-of blocks of ~20 ms
+evaluations let one noisy block read as a 50-70% overhead on unchanged
+code.
 """
 
 import json
 import platform
 import time
 from pathlib import Path
+from statistics import median
 
 from repro.datalog import evaluate, parse_program
 from repro.obs import HistogramSet, JsonlSpanSink, observe, use
@@ -27,23 +35,21 @@ from repro.workloads.generator import random_datalog_program
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 N_NODES = 120
-REPEAT = 5
+PAIRS = 15
 
 
-def _best_of(fn, repeat=REPEAT):
-    """Best wall-clock of ``repeat`` runs (seconds)."""
-    best = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
-
-
-def _overhead_pct(measured, baseline):
-    return round((measured / baseline - 1.0) * 100.0, 2)
+def _paired_seconds(first, second, pairs=PAIRS):
+    """Wall-clock seconds of ``first`` and ``second`` over interleaved
+    pairs, alternating which runs first (two lists, pair-aligned)."""
+    times = ([], [])
+    for index in range(pairs):
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        for side in order:
+            fn = (first, second)[side]
+            start = time.perf_counter()
+            fn()
+            times[side].append(time.perf_counter() - start)
+    return times
 
 
 def test_emit_export_overhead(tmp_path):
@@ -63,17 +69,19 @@ def test_emit_export_overhead(tmp_path):
     run_traced()
     run_exporting()
 
-    traced_s = _best_of(run_traced)
-    exporting_s = _best_of(run_exporting)
+    traced, exporting = _paired_seconds(run_traced, run_exporting)
     sink.close()
+    ratio = median([e / t for t, e in zip(traced, exporting)])
 
     entry = {
         "workload": "chain_closure",
         "n_nodes": N_NODES,
         "sampling": 1.0,
-        "traced_s": round(traced_s, 6),
-        "exporting_s": round(exporting_s, 6),
-        "export_overhead_pct": _overhead_pct(exporting_s, traced_s),
+        "method": f"{PAIRS} interleaved pairs, alternating order, "
+                  "median of the per-pair ratios",
+        "traced_s": round(median(traced), 6),
+        "exporting_s": round(median(exporting), 6),
+        "export_overhead_pct": round((ratio - 1.0) * 100.0, 2),
         "spans_streamed": sink.spans_written,
         "histogram_families": len(histograms.families()),
         "target": "exporting < 5% over plain tracing",

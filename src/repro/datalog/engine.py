@@ -5,21 +5,29 @@ CORAL stand-in.  Programs are stratified; each stratum is evaluated to a
 least fixpoint before the next begins, so negation always consults a
 fully computed lower stratum.
 
-Four strategies:
+Four strategies, one semi-naive driver:
 
-* ``naive`` -- re-derive everything each round; the textbook baseline
-  kept for differential testing and the ablation bench.
-* ``seminaive`` -- classic delta iteration: a recursive rule only refires
-  when one of its recursive body literals matches a newly derived fact.
-* ``compiled`` (the default) -- semi-naive iteration over
-  :class:`~repro.datalog.plan.CompiledRule` join plans: each rule body is
-  compiled once per stratum into a nested-loop function probing composite
-  indexes, with delta-specialized variants for the refiring step.
-* ``vectorized`` -- semi-naive iteration over
-  :class:`~repro.datalog.plan.BatchRule` batch pipelines against the
-  columnar backend: each round probes the entire delta batch through
-  build-side hash tables in a handful of comprehensions over interned
-  codes, instead of one Python frame per candidate row.
+* ``naive`` -- re-derive everything each round; the textbook baseline,
+  kept only as the oracle of the differential tests and the ablation
+  bench.
+* ``seminaive``, ``compiled`` (the default) and ``vectorized`` -- classic
+  delta iteration by :func:`_evaluate_stratum`: a recursive rule only
+  refires when one of its recursive body literals matches a fact derived
+  in the previous round.  They differ only in the plan kind the driver
+  fires and in how a round's fresh rows are kept:
+
+  - ``seminaive`` runs each rule body through the :func:`_match_body`
+    interpreter;
+  - ``compiled`` runs :class:`~repro.datalog.plan.CompiledRule` join
+    plans: each rule body is compiled once per stratum into a
+    nested-loop function probing composite indexes, with
+    delta-specialized variants for the refiring step;
+  - both keep fresh rows in a row :class:`Database`;
+  - ``vectorized`` runs :class:`~repro.datalog.plan.BatchRule` batch
+    pipelines against the columnar backend: each round probes the whole
+    delta batch through build-side hash tables in a handful of
+    comprehensions over interned codes, and fresh rows are coded batches
+    per ``(predicate, arity)``.
 
 The first three run unchanged on either storage backend (they only use
 the row-level :class:`~repro.datalog.storage.StorageBackend` contract);
@@ -29,12 +37,13 @@ the columnar backend.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.builtins import evaluate_builtin
 from repro.datalog.database import Database, Row
-from repro.datalog.plan import CompiledRule, compile_batch_rule, compile_rule
+from repro.datalog.plan import compile_batch_rule, compile_rule
 from repro.datalog.rules import Program, Rule
 from repro.datalog.storage import make_database, resolve_backend
 from repro.datalog.stratify import stratify
@@ -177,15 +186,113 @@ def greedy_join_order(body: tuple[Literal, ...]) -> tuple[Literal, ...]:
 
 
 def _fire_rule(rule: Rule, db: Database,
-               delta_requirement: tuple[int, Database] | None = None) -> list[tuple[str, Row]]:
-    """All head facts derivable by one rule in the current state."""
-    derived: list[tuple[str, Row]] = []
+               delta_requirement: tuple[int, Database] | None = None) -> list[Row]:
+    """All head rows derivable by one rule in the current state."""
+    derived: list[Row] = []
     for subst in _match_body(rule.body, db, {}, delta_requirement):
         head = apply_to_atom(rule.head, subst)
         if not head.is_ground():
             raise DatalogError(f"derived non-ground head {head!r}; rule is unsafe")
-        derived.append((head.predicate, head.ground_tuple()))
+        derived.append(head.ground_tuple())
     return derived
+
+
+class _InterpretedRule:
+    """The ``seminaive`` plan: a rule run by the :func:`_match_body`
+    interpreter, shaped like :class:`~repro.datalog.plan.CompiledRule`
+    (``fire(db)`` plus one ``(predicate, fire(db, delta))`` variant per
+    recursive body literal)."""
+
+    __slots__ = ("rule", "head_predicate", "delta_variants")
+
+    def __init__(self, rule: Rule, stratum_predicates: set[str]):
+        self.rule = rule
+        self.head_predicate = rule.head.predicate
+        self.delta_variants = tuple(
+            (literal.predicate, functools.partial(self._fire_delta, position))
+            for position, literal in enumerate(rule.body)
+            if literal.positive and not literal.atom.is_builtin
+            and literal.predicate in stratum_predicates)
+
+    def fire(self, db: Database) -> list[Row]:
+        return _fire_rule(self.rule, db)
+
+    def _fire_delta(self, position: int, db: Database,
+                    delta: Database) -> list[Row]:
+        return _fire_rule(self.rule, db, (position, delta))
+
+
+class _RowFrontier:
+    """A round's fresh rows as a row :class:`Database` (interpreted and
+    compiled plans): each derived row is stored with ``db.add``."""
+
+    __slots__ = ("fresh",)
+
+    def __init__(self) -> None:
+        self.fresh = Database()
+
+    def __len__(self) -> int:
+        return len(self.fresh)
+
+    def store(self, db: Database, plan, rows: list[Row]) -> None:
+        predicate = plan.head_predicate
+        add = self.fresh.add
+        for row in rows:
+            if db.add(predicate, row):
+                add(predicate, row)
+
+    def get(self, key: list) -> Database | None:
+        """The delta argument for a variant on ``key = [predicate]``."""
+        return self.fresh if self.fresh.rows(key[0]) else None
+
+
+class _CodedFrontier:
+    """A round's fresh coded rows, one batch per ``(predicate, arity)``
+    (vectorized plans).
+
+    :meth:`~repro.datalog.columnar.ColumnarDatabase.insert_coded` stores
+    a whole derived batch with one dedup pass and hands back the
+    genuinely fresh rows, which are filed here without copying: the
+    batches are only ever iterated, so a list is materialized only when
+    a second rule head lands on the same key.
+    """
+
+    __slots__ = ("batches", "size")
+
+    def __init__(self) -> None:
+        self.batches: dict[tuple[str, int], list | set] = {}
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def store(self, db, plan, rows) -> None:
+        fresh = db.insert_coded(plan.head_predicate, plan.head_arity, rows)
+        if not fresh:
+            return
+        key = (plan.head_predicate, plan.head_arity)
+        have = self.batches.get(key)
+        if have is None:
+            self.batches[key] = fresh
+        else:
+            if not isinstance(have, list):
+                have = self.batches[key] = list(have)
+            have.extend(fresh)
+        self.size += len(fresh)
+
+    def get(self, key: list):
+        """The batch for a variant on ``key = [predicate, arity]``."""
+        return self.batches.get((key[0], key[1]))
+
+
+#: semi-naive strategy -> (plan compiler, frontier type).  Every plan has
+#: ``rule``, ``head_predicate``, ``fire(db)`` and ``delta_variants``, whose
+#: entries end in ``fire(db, delta)`` after the frontier's lookup key.
+_PLAN_KINDS = {
+    "seminaive": (_InterpretedRule, _RowFrontier),
+    "compiled": (compile_rule, _RowFrontier),
+    "vectorized": (compile_batch_rule, _CodedFrontier),
+}
 
 
 def _stratum_rules(program: Program, stratum_predicates: set[str],
@@ -206,25 +313,29 @@ def _round_span(recorder, rounds: int, scope: str):
     return recorder.span(f"round[{rounds}]", scope=scope)
 
 
-def _evaluate_stratum_compiled(rules: list[Rule], db: Database,
-                               stratum_predicates: set[str],
-                               recorder, metrics, meter, scope: str) -> None:
-    """Semi-naive iteration driven by compiled join plans."""
-    compiled = [compile_rule(rule, stratum_predicates) for rule in rules]
-    labels = [repr(plan.rule) for plan in compiled]
-    delta = Database()
+def _evaluate_stratum(strategy: str, rules: list[Rule], db,
+                      stratum_predicates: set[str],
+                      recorder, metrics, meter, scope: str) -> None:
+    """Semi-naive iteration, the one driver behind every plan kind.
+
+    Round 0 fires every rule once against the current database; each
+    later round refires only the recursive rules, once per recursive
+    literal whose predicate gained rows in the previous round, with that
+    literal restricted to those fresh rows.
+    """
+    compile_plan, frontier = _PLAN_KINDS[strategy]
+    plans = [compile_plan(rule, stratum_predicates) for rule in rules]
+    labels = [repr(plan.rule) for plan in plans]
+    delta = frontier()
     with recorder.span("rule-fire", scope=scope, phase="initial") as span:
-        for plan, label in zip(compiled, labels):
+        for plan, label in zip(plans, labels):
             rows = plan.fire(db)
             metrics.rule_fired(label, len(rows))
-            predicate = plan.head_predicate
-            for row in rows:
-                if db.add(predicate, row):
-                    delta.add(predicate, row)
+            delta.store(db, plan, rows)
         span.set(delta=len(delta))
     if meter is not None:
         meter.charge_rows(len(delta), scope)
-    recursive = [(plan, label) for plan, label in zip(compiled, labels)
+    recursive = [(plan, label) for plan, label in zip(plans, labels)
                  if plan.delta_variants]
     rounds = 0
     while len(delta):
@@ -232,99 +343,25 @@ def _evaluate_stratum_compiled(rules: list[Rule], db: Database,
         if meter is not None:
             meter.begin_round(scope)
         with _round_span(recorder, rounds, scope) as span:
-            new_delta = Database()
+            fresh = frontier()
             for plan, label in recursive:
-                predicate = plan.head_predicate
-                for delta_predicate, fire in plan.delta_variants:
-                    if not delta.rows(delta_predicate):
-                        continue
-                    rows = fire(db, delta)
-                    metrics.rule_fired(label, len(rows))
-                    for row in rows:
-                        if db.add(predicate, row):
-                            new_delta.add(predicate, row)
-            span.set(delta=len(new_delta))
-        if meter is not None:
-            meter.charge_rows(len(new_delta), scope)
-        delta = new_delta
-    metrics.record_rounds(scope, rounds + 1)
-
-
-def _merge_delta(delta: dict, key: tuple[str, int], fresh) -> None:
-    """File a fresh batch (list or set) under ``key`` without copying.
-
-    The frontier batches only ever get iterated, so the first
-    contribution is stored as-is; a list is materialized only when a
-    second rule head lands on the same ``(predicate, arity)``.
-    """
-    have = delta.get(key)
-    if have is None:
-        delta[key] = fresh
-    else:
-        if not isinstance(have, list):
-            have = list(have)
-            delta[key] = have
-        have.extend(fresh)
-
-
-def _evaluate_stratum_vectorized(rules: list[Rule], db, stratum_predicates: set[str],
-                                 recorder, metrics, meter, scope: str) -> None:
-    """Semi-naive iteration driven by batch pipelines (columnar only).
-
-    Deltas are coded-row batches keyed ``(predicate, arity)``;
-    :meth:`~repro.datalog.columnar.ColumnarDatabase.insert_coded` stores
-    a whole derived batch with one dedup pass and hands back the
-    genuinely fresh rows as the next round's frontier.
-    """
-    compiled = [compile_batch_rule(rule, stratum_predicates) for rule in rules]
-    labels = [repr(plan.rule) for plan in compiled]
-    delta: dict[tuple[str, int], list | set] = {}
-    with recorder.span("rule-fire", scope=scope, phase="initial") as span:
-        total = 0
-        for plan, label in zip(compiled, labels):
-            rows = plan.fire(db)
-            metrics.rule_fired(label, len(rows))
-            fresh = db.insert_coded(plan.head_predicate, plan.head_arity, rows)
-            if fresh:
-                _merge_delta(delta, (plan.head_predicate, plan.head_arity),
-                             fresh)
-                total += len(fresh)
-        span.set(delta=total)
-    if meter is not None:
-        meter.charge_rows(total, scope)
-    recursive = [(plan, label) for plan, label in zip(compiled, labels)
-                 if plan.delta_variants]
-    rounds = 0
-    while delta:
-        rounds += 1
-        if meter is not None:
-            meter.begin_round(scope)
-        with _round_span(recorder, rounds, scope) as span:
-            new_delta: dict[tuple[str, int], list | set] = {}
-            total = 0
-            for plan, label in recursive:
-                for delta_predicate, delta_arity, fire in plan.delta_variants:
-                    batch = delta.get((delta_predicate, delta_arity))
-                    if not batch:
+                for *key, fire in plan.delta_variants:
+                    batch = delta.get(key)
+                    if batch is None:
                         continue
                     rows = fire(db, batch)
                     metrics.rule_fired(label, len(rows))
-                    fresh = db.insert_coded(plan.head_predicate,
-                                            plan.head_arity, rows)
-                    if fresh:
-                        _merge_delta(new_delta,
-                                     (plan.head_predicate, plan.head_arity),
-                                     fresh)
-                        total += len(fresh)
-            span.set(delta=total)
+                    fresh.store(db, plan, rows)
+            span.set(delta=len(fresh))
         if meter is not None:
-            meter.charge_rows(total, scope)
-        delta = new_delta
+            meter.charge_rows(len(fresh), scope)
+        delta = fresh
     metrics.record_rounds(scope, rounds + 1)
 
 
 def _evaluate_stratum_naive(rules: list[Rule], db: Database,
                             recorder, metrics, meter, scope: str) -> None:
+    """Re-derive everything each round: the test oracle."""
     labels = [repr(rule) for rule in rules]
     changed = True
     rounds = 0
@@ -338,7 +375,8 @@ def _evaluate_stratum_naive(rules: list[Rule], db: Database,
             for rule, label in zip(rules, labels):
                 derived = _fire_rule(rule, db)
                 metrics.rule_fired(label, len(derived))
-                for predicate, row in derived:
+                predicate = rule.head.predicate
+                for row in derived:
                     if db.add(predicate, row):
                         changed = True
                         added += 1
@@ -346,54 +384,6 @@ def _evaluate_stratum_naive(rules: list[Rule], db: Database,
         if meter is not None and added:
             meter.charge_rows(added, scope)
     metrics.record_rounds(scope, rounds)
-
-
-def _evaluate_stratum_seminaive(rules: list[Rule], db: Database,
-                                stratum_predicates: set[str],
-                                recorder, metrics, meter, scope: str) -> None:
-    labels = [repr(rule) for rule in rules]
-    # Round 0: fire every rule once against the current database.
-    delta = Database()
-    with recorder.span("rule-fire", scope=scope, phase="initial") as span:
-        for rule, label in zip(rules, labels):
-            derived = _fire_rule(rule, db)
-            metrics.rule_fired(label, len(derived))
-            for predicate, row in derived:
-                if db.add(predicate, row):
-                    delta.add(predicate, row)
-        span.set(delta=len(delta))
-    if meter is not None:
-        meter.charge_rows(len(delta), scope)
-    recursive = [
-        (rule, label) for rule, label in zip(rules, labels)
-        if any(l.positive and not l.atom.is_builtin and l.predicate in stratum_predicates
-               for l in rule.body)
-    ]
-    rounds = 0
-    while len(delta):
-        rounds += 1
-        if meter is not None:
-            meter.begin_round(scope)
-        with _round_span(recorder, rounds, scope) as span:
-            new_delta = Database()
-            for rule, label in recursive:
-                for position, literal in enumerate(rule.body):
-                    if not literal.positive or literal.atom.is_builtin:
-                        continue
-                    if literal.predicate not in stratum_predicates:
-                        continue
-                    if not delta.rows(literal.predicate):
-                        continue
-                    derived = _fire_rule(rule, db, (position, delta))
-                    metrics.rule_fired(label, len(derived))
-                    for predicate, row in derived:
-                        if db.add(predicate, row):
-                            new_delta.add(predicate, row)
-            span.set(delta=len(new_delta))
-        if meter is not None:
-            meter.charge_rows(len(new_delta), scope)
-        delta = new_delta
-    metrics.record_rounds(scope, rounds + 1)
 
 
 def evaluate(program: Program, strategy: str = "compiled",
@@ -478,15 +468,9 @@ def evaluate(program: Program, strategy: str = "compiled",
                     if strategy == "naive":
                         _evaluate_stratum_naive(rules, db, recorder, metrics,
                                                 meter, scope)
-                    elif strategy == "seminaive":
-                        _evaluate_stratum_seminaive(rules, db, stratum_predicates,
-                                                    recorder, metrics, meter, scope)
-                    elif strategy == "vectorized":
-                        _evaluate_stratum_vectorized(rules, db, stratum_predicates,
-                                                     recorder, metrics, meter, scope)
                     else:
-                        _evaluate_stratum_compiled(rules, db, stratum_predicates,
-                                                   recorder, metrics, meter, scope)
+                        _evaluate_stratum(strategy, rules, db, stratum_predicates,
+                                          recorder, metrics, meter, scope)
                     span.set(facts=len(db))
         except BudgetExceededError as exc:
             metrics.add_probes(db.probe_count - probes_before)

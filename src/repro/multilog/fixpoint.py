@@ -61,7 +61,8 @@ def fixpoint_steps(program: Program) -> dict[Fact, int]:
         while True:
             derived: list[Fact] = []
             for rule in rules:
-                derived.extend(_fire_rule(rule, db))
+                predicate = rule.head.predicate
+                derived.extend((predicate, row) for row in _fire_rule(rule, db))
             new = [fact for fact in derived if fact not in steps]
             if not new:
                 break

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Any, Iterable, Protocol
 
 from repro.obs.histogram import HistogramSet
 from repro.obs.metrics import EngineMetrics
@@ -51,6 +51,32 @@ def _fmt_bound(bound: float) -> str:
     return repr(bound) if bound != int(bound) else str(int(bound))
 
 
+def prometheus_family(name: str, kind: str, help_text: str,
+                      samples: Iterable[tuple[dict, Any]]) -> list[str]:
+    """One metric family in the text exposition: HELP, TYPE, samples.
+
+    ``kind`` is ``counter``, ``gauge`` or ``histogram``; each sample is
+    ``(labels, value)``.  A histogram sample's value is a
+    :class:`~repro.obs.histogram.LatencyHistogram`, written as cumulative
+    ``_bucket`` series (``le`` appended to its labels) plus ``_sum`` and
+    ``_count``.
+    """
+    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+    for labels, value in samples:
+        if kind != "histogram":
+            lines.append(f"{name}{_labels(**labels)} {value}")
+            continue
+        cumulative = 0
+        for bound, count in zip(value.bounds, value.counts):
+            cumulative += count
+            lines.append(f"{name}_bucket{_labels(**labels, le=_fmt_bound(bound))} "
+                         f"{cumulative}")
+        lines.append(f"{name}_bucket{_labels(**labels, le='+Inf')} {value.count}")
+        lines.append(f"{name}_sum{_labels(**labels)} {value.sum:.6f}")
+        lines.append(f"{name}_count{_labels(**labels)} {value.count}")
+    return lines
+
+
 def render_prometheus(metrics: EngineMetrics | None = None,
                       histograms: HistogramSet | None = None,
                       namespace: str = "multilog") -> str:
@@ -62,80 +88,65 @@ def render_prometheus(metrics: EngineMetrics | None = None,
     """
     lines: list[str] = []
 
-    def counter(name: str, help_text: str, samples: list[tuple[str, object]]) -> None:
-        full = f"{namespace}_{name}"
-        lines.append(f"# HELP {full} {help_text}")
-        lines.append(f"# TYPE {full} counter")
-        for labels, value in samples:
-            lines.append(f"{full}{labels} {value}")
+    def counter(name: str, help_text: str, samples: list[tuple[dict, object]]) -> None:
+        lines.extend(prometheus_family(f"{namespace}_{name}", "counter",
+                                       help_text, samples))
 
-    def gauge(name: str, help_text: str, samples: list[tuple[str, object]]) -> None:
-        full = f"{namespace}_{name}"
-        lines.append(f"# HELP {full} {help_text}")
-        lines.append(f"# TYPE {full} gauge")
-        for labels, value in samples:
-            lines.append(f"{full}{labels} {value}")
+    def gauge(name: str, help_text: str, samples: list[tuple[dict, object]]) -> None:
+        lines.extend(prometheus_family(f"{namespace}_{name}", "gauge",
+                                       help_text, samples))
 
     if metrics is not None:
         counter("asks_total", "Queries answered by the session.",
-                [("", metrics.asks)])
+                [({}, metrics.asks)])
         counter("rule_firings_total", "Rule firings across all asks.",
-                [("", metrics.total_firings)])
+                [({}, metrics.total_firings)])
         counter("rows_derived_total", "Rows derived pre-dedup across all asks.",
-                [("", metrics.total_rows_derived)])
+                [({}, metrics.total_rows_derived)])
         counter("join_probes_total", "Index probes during evaluation.",
-                [("", metrics.join_probes)])
+                [({}, metrics.join_probes)])
         counter("candidate_calls_total", "Interpreted-path candidate scans.",
-                [("", metrics.candidate_calls)])
+                [({}, metrics.candidate_calls)])
         counter("batch_probes_total",
                 "Whole-delta hash-join probes (vectorized strategy).",
-                [("", getattr(metrics, "batch_probes", 0))])
+                [({}, getattr(metrics, "batch_probes", 0))])
         counter("batch_builds_total",
                 "Build-side hash-table builds/extensions (columnar backend).",
-                [("", getattr(metrics, "batch_builds", 0))])
+                [({}, getattr(metrics, "batch_builds", 0))])
         counter("batch_dedup_rows_total",
                 "Rows dropped as duplicates by columnar bulk inserts.",
-                [("", getattr(metrics, "batch_dedup_rows", 0))])
+                [({}, getattr(metrics, "batch_dedup_rows", 0))])
         if metrics.rounds:
             counter("fixpoint_rounds_total", "Fixpoint rounds per scope.",
-                    [(_labels(scope=scope), count)
+                    [({"scope": scope}, count)
                      for scope, count in sorted(metrics.rounds.items())])
         counter("retries_total",
                 "Transient-fault retries spent by the resilience executor.",
-                [("", getattr(metrics, "retries", 0))])
+                [({}, getattr(metrics, "retries", 0))])
         counter("fallbacks_total",
                 "Strategy-ladder fallbacks taken by the resilience executor.",
-                [("", getattr(metrics, "fallbacks", 0))])
+                [({}, getattr(metrics, "fallbacks", 0))])
         counter("degraded_asks_total",
                 "Asks served degraded (fallback rung or budget-partial).",
-                [("", getattr(metrics, "degraded_asks", 0))])
+                [({}, getattr(metrics, "degraded_asks", 0))])
         if metrics.cache:
             for kind in ("hits", "misses", "invalidations"):
                 counter(f"cache_{kind}_total", f"Cache {kind} per memo layer.",
-                        [(_labels(layer=layer), getattr(snap, kind))
+                        [({"layer": layer}, getattr(snap, kind))
                          for layer, snap in sorted(metrics.cache.items())])
         gauge("budget_exceeded",
               "1 when the most recent ask hit its evaluation budget.",
-              [("", 1 if metrics.budget_exceeded else 0)])
+              [({}, 1 if metrics.budget_exceeded else 0)])
         gauge("degraded",
               "1 when the most recent ask was served degraded.",
-              [("", 1 if metrics.degraded else 0)])
+              [({}, 1 if metrics.degraded else 0)])
 
     if histograms is not None and histograms.histograms:
-        full = f"{namespace}_span_latency_seconds"
-        lines.append(f"# HELP {full} Span latency per span family.")
-        lines.append(f"# TYPE {full} histogram")
-        for family in histograms.families():
-            hist = histograms.histograms[family]
-            cumulative = 0
-            for bound, count in zip(hist.bounds, hist.counts):
-                cumulative += count
-                labels = _labels(family=family, le=_fmt_bound(bound))
-                lines.append(f"{full}_bucket{labels} {cumulative}")
-            labels = _labels(family=family, le="+Inf")
-            lines.append(f"{full}_bucket{labels} {hist.count}")
-            lines.append(f"{full}_sum{_labels(family=family)} {hist.sum:.6f}")
-            lines.append(f"{full}_count{_labels(family=family)} {hist.count}")
+        lines.extend(prometheus_family(
+            f"{namespace}_span_latency_seconds", "histogram",
+            "Span latency per span family.",
+            [({"family": family}, histograms.histograms[family])
+             for family in histograms.families()]))
 
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,8 @@ Classic three-state machine:
 
 Client-caused errors (bad query, bad clearance, budget/deadline of the
 *request*) never count: they say nothing about the server's health.
-The server decides what to record -- see ``MultiLogServer._breaker_for``.
+The server decides what to record -- see ``_ERRORS`` in
+:mod:`repro.serving.server`.
 
 The breaker lives on the event loop (single-threaded by construction),
 so there are no locks; state transitions happen in ``allow()`` /

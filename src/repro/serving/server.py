@@ -53,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import (
     BudgetExceededError,
@@ -70,6 +70,7 @@ from repro.obs.audit import AuditLog
 from repro.obs.budget import EvaluationBudget
 from repro.obs.context import ObsContext
 from repro.obs.context import use as use_obs
+from repro.obs.export import prometheus_family
 from repro.obs.histogram import HistogramSet
 from repro.obs.trace import (
     Span,
@@ -272,111 +273,125 @@ class ServingStats:
                           write_queue_depth: int | None = None,
                           ) -> str:
         """Prometheus text exposition of the serving dashboard."""
-        from repro.obs.export import _fmt_bound, _labels
-
-        def histogram_block(full: str, help_text: str,
-                            rows: list[tuple[dict, object]]) -> None:
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} histogram")
-            for label_args, hist in rows:
-                cumulative = 0
-                for bound, count in zip(hist.bounds, hist.counts):
-                    cumulative += count
-                    lines.append(f"{full}_bucket{_labels(**dict(label_args, le=_fmt_bound(bound)))} "
-                                 f"{cumulative}")
-                lines.append(f"{full}_bucket{_labels(**dict(label_args, le='+Inf'))} {hist.count}")
-                lines.append(f"{full}_sum{_labels(**label_args)} {hist.sum:.6f}")
-                lines.append(f"{full}_count{_labels(**label_args)} {hist.count}")
-
         lines: list[str] = []
+
+        def family(name: str, kind: str, help_text: str,
+                   samples: Iterable[tuple[dict, Any]]) -> None:
+            lines.extend(prometheus_family(f"{namespace}_{name}", kind,
+                                           help_text, samples))
+
         for name, help_text in self.COUNTERS:
-            full = f"{namespace}_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} counter")
-            lines.append(f"{full} {getattr(self, name)}")
+            family(name, "counter", help_text, [({}, getattr(self, name))])
         for name, help_text in (("inflight", "Requests currently in flight."),
                                 ("connections", "Open client connections.")):
-            full = f"{namespace}_{name}"
-            lines.append(f"# HELP {full} {help_text}")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {getattr(self, name)}")
+            family(name, "gauge", help_text, [({}, getattr(self, name))])
         if self.inflight_by_clearance:
-            full = f"{namespace}_inflight_by_clearance"
-            lines.append(f"# HELP {full} Requests in flight per clearance.")
-            lines.append(f"# TYPE {full} gauge")
-            for level in sorted(self.inflight_by_clearance):
-                labels = _labels(clearance=level)
-                lines.append(
-                    f"{full}{labels} {self.inflight_by_clearance[level]}")
+            family("inflight_by_clearance", "gauge",
+                   "Requests in flight per clearance.",
+                   [({"clearance": level}, self.inflight_by_clearance[level])
+                    for level in sorted(self.inflight_by_clearance)])
         if breakers:
-            full = f"{namespace}_breaker_state"
-            lines.append(f"# HELP {full} Circuit breaker state per op "
-                         "(0=closed, 1=half-open, 2=open).")
-            lines.append(f"# TYPE {full} gauge")
-            for op in sorted(breakers):
-                lines.append(f"{full}{_labels(op=op)} "
-                             f"{breakers[op].state_code}")
-            full = f"{namespace}_breaker_opened_total"
-            lines.append(f"# HELP {full} Times each breaker tripped open.")
-            lines.append(f"# TYPE {full} counter")
-            for op in sorted(breakers):
-                lines.append(f"{full}{_labels(op=op)} "
-                             f"{breakers[op].opened_total}")
+            ops = sorted(breakers)
+            family("breaker_state", "gauge",
+                   "Circuit breaker state per op "
+                   "(0=closed, 1=half-open, 2=open).",
+                   [({"op": op}, breakers[op].state_code) for op in ops])
+            family("breaker_opened_total", "counter",
+                   "Times each breaker tripped open.",
+                   [({"op": op}, breakers[op].opened_total) for op in ops])
         if pool is not None:
-            full = f"{namespace}_pool_sessions"
-            lines.append(f"# HELP {full} Pooled sessions per clearance and state.")
-            lines.append(f"# TYPE {full} gauge")
-            for level, counts in pool.stats().items():
-                for state in ("busy", "free"):
-                    labels = _labels(clearance=level, state=state)
-                    lines.append(f"{full}{labels} {counts[state]}")
+            family("pool_sessions", "gauge",
+                   "Pooled sessions per clearance and state.",
+                   [({"clearance": level, "state": state}, counts[state])
+                    for level, counts in pool.stats().items()
+                    for state in ("busy", "free")])
         if write_queue_depth is not None:
-            full = f"{namespace}_write_queue_depth"
-            lines.append(f"# HELP {full} Writers waiting on the RW lock.")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {write_queue_depth}")
-        if self.histograms.histograms:
-            serve_rows: list[tuple[dict, object]] = []
-            pool_rows: list[tuple[dict, object]] = []
-            lock_rows: list[tuple[dict, object]] = []
-            for family in self.histograms.families():
-                hist = self.histograms.histograms[family]
-                if family.startswith("serve["):
-                    serve_rows.append(({"op": family[len("serve["):-1]}, hist))
-                elif family == "pool[wait]":
-                    pool_rows.append(({}, hist))
-                elif family.startswith("lock["):
-                    lock_rows.append(({"side": family[len("lock["):-1]}, hist))
-                else:  # pragma: no cover - no other families are fed
-                    serve_rows.append(({"op": family}, hist))
-            if serve_rows:
-                histogram_block(f"{namespace}_request_seconds",
-                                "Request latency per operation.", serve_rows)
-            if pool_rows:
-                histogram_block(f"{namespace}_pool_wait_seconds",
-                                "Session-pool checkout wait.", pool_rows)
-            if lock_rows:
-                histogram_block(f"{namespace}_lock_wait_seconds",
-                                "RW-lock acquisition wait per side.",
-                                lock_rows)
+            family("write_queue_depth", "gauge",
+                   "Writers waiting on the RW lock.", [({}, write_queue_depth)])
+        # Histogram families are fed as ``serve[op]``, ``pool[wait]`` and
+        # ``lock[side]``; the bracketed part becomes the label, if any.
+        for prefix, label, name, help_text in (
+                ("serve[", "op", "request_seconds",
+                 "Request latency per operation."),
+                ("pool[", None, "pool_wait_seconds",
+                 "Session-pool checkout wait."),
+                ("lock[", "side", "lock_wait_seconds",
+                 "RW-lock acquisition wait per side.")):
+            samples = [({label: key[len(prefix):-1]} if label else {},
+                        self.histograms.histograms[key])
+                       for key in self.histograms.families()
+                       if key.startswith(prefix)]
+            if samples:
+                family(name, "histogram", help_text, samples)
         if self.slo is not None:
+            family("slo_target", "gauge",
+                   "Good-request fraction the SLO monitors aim for.",
+                   [({}, self.slo.target)])
             rates = self.slo.burn_rates()
-            full = f"{namespace}_slo_target"
-            lines.append(f"# HELP {full} Good-request fraction the SLO "
-                         "monitors aim for.")
-            lines.append(f"# TYPE {full} gauge")
-            lines.append(f"{full} {self.slo.target}")
             if rates:
-                full = f"{namespace}_slo_burn_rate"
-                lines.append(f"# HELP {full} Error-budget burn rate per op "
-                             "and window (1.0 = spending the budget "
-                             "exactly).")
-                lines.append(f"# TYPE {full} gauge")
-                for op, windows in rates.items():
-                    for window, rate in sorted(windows.items()):
-                        lines.append(
-                            f"{full}{_labels(op=op, window=window)} {rate}")
+                family("slo_burn_rate", "gauge",
+                       "Error-budget burn rate per op and window "
+                       "(1.0 = spending the budget exactly).",
+                       [({"op": op, "window": window}, rate)
+                        for op, windows in rates.items()
+                        for window, rate in sorted(windows.items())])
         return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class _ErrorRule:
+    """How one exception from a data op's executor hop is answered."""
+
+    exc: type[Exception]
+    code: str
+    #: ``str.format`` template over ``exc``, ``kind`` (its class name)
+    #: and ``timeout_s`` (the request's deadline).
+    message: str = "{exc}"
+    #: :class:`ServingStats` counter bumped besides ``errors_total``.
+    counter: str | None = None
+    #: a server-side failure: counts against the op's circuit breaker.
+    breaker: bool = False
+    #: the one op the row applies to (``None``: both).
+    op: str | None = None
+    #: the :class:`~repro.errors.BudgetExceededError` reason it applies to;
+    #: ``deadline`` is a ``timeout`` under a request deadline.
+    reason: str | None = None
+
+
+#: Exception -> error response for ``ask`` and ``assert``; first match
+#: wins.  Client-attributable failures -- the request's own budget or
+#: deadline, a bad query or clearance -- never count against a breaker.
+_ERRORS = (
+    _ErrorRule(BudgetExceededError, "cancelled",
+               "client disconnected mid-ask; evaluation cancelled",
+               counter="cancelled_total", op="ask", reason="cancelled"),
+    _ErrorRule(BudgetExceededError, "deadline",
+               "deadline of {timeout_s}s passed: {exc}",
+               counter="deadline_total", op="ask", reason="deadline"),
+    _ErrorRule(MultiLogSyntaxError, "bad-query"),
+    _ErrorRule(LatticeError, "bad-clearance"),
+    # Should be impossible behind the pool's exclusive checkout; if it
+    # surfaces, its own code keeps it visible.
+    _ErrorRule(SessionBusyError, "busy"),
+    # Durability failing (full disk, fsync fault) is a server problem:
+    # repeated failures start failing fast instead of grinding every
+    # client through the same broken disk.
+    _ErrorRule(JournalError, "internal", breaker=True, op="assert"),
+    _ErrorRule(ReproError, "rejected"),
+    _ErrorRule(Exception, "internal", "{kind}: {exc}", breaker=True),
+)
+
+
+def _error_rule(op: str, exc: Exception, timeout_s: float | None) -> _ErrorRule:
+    """The first :data:`_ERRORS` row matching ``exc`` raised by ``op``."""
+    reason = exc.reason if isinstance(exc, BudgetExceededError) else None
+    if reason == "timeout" and timeout_s is not None:
+        reason = "deadline"
+    for rule in _ERRORS:
+        if (isinstance(exc, rule.exc) and rule.op in (None, op)
+                and rule.reason in (None, reason)):
+            return rule
+    return _ERRORS[-1]
 
 
 class _ReadWriteLock:
@@ -449,7 +464,7 @@ class _RequestScope:
     access log or the slow log is enabled -- ``None`` otherwise, so the
     bare serving hot path allocates nothing per request.  The breakdown
     dict accrues the resource waits (``admission_s``, ``lock_wait_s``,
-    ``pool_wait_s``, ``engine_s``) the data paths measure around their
+    ``pool_wait_s``, ``engine_s``) the data pipeline measures around its
     awaits; :meth:`MultiLogServer._finish_scope` folds everything into
     the root span, the access log and (when it qualifies) the slow log.
     """
@@ -961,12 +976,9 @@ class MultiLogServer:
                                enabled=self.audit is not None)
         if op == "slowlog":
             return self._serve_slowlog(request, request_id, clearance)
-        if op == "ask":
-            return await self._serve_ask(request, request_id, clearance,
-                                         conn, cancel)
-        if op == "assert":
-            return await self._serve_assert(request, request_id,
-                                            clearance, conn)
+        if op in ("ask", "assert"):
+            return await self._serve_data(op, request, request_id, clearance,
+                                          conn, cancel)
         self.stats.errors_total += 1
         return error_response(request_id, "unknown-op", f"unknown op {op!r}")
 
@@ -1092,7 +1104,7 @@ class MultiLogServer:
                 explain=run_stats.get("explain"), spans=spans,
                 degraded=degraded)
 
-    # -- the two data paths --------------------------------------------
+    # -- the data-op pipeline (ask, assert) ----------------------------
     def _level_of(self, clearance) -> str:
         return str(clearance if clearance is not None else self.root.clearance)
 
@@ -1157,26 +1169,35 @@ class MultiLogServer:
             base, timeout_s=limit,
             cancelled=cancel.is_set if cancel is not None else base.cancelled)
 
-    async def _serve_ask(self, request: dict, request_id, clearance,
-                         conn: _Connection | None = None,
-                         cancel: threading.Event | None = None) -> dict:
+    async def _serve_data(self, op: str, request: dict, request_id,
+                          clearance, conn: _Connection | None,
+                          cancel: threading.Event | None) -> dict:
+        """Serve one ``ask`` or ``assert`` inside its request scope."""
         level = self._level_of(clearance)
-        scope = self._begin_scope("ask", request, level)
-        response = await self._ask_path(request, request_id, clearance,
-                                        level, conn, cancel, scope)
+        scope = self._begin_scope(op, request, level)
+        response = await self._data_path(op, request, request_id, clearance,
+                                         level, conn, cancel, scope)
         self._finish_scope(scope, response)
         return response
 
-    async def _ask_path(self, request: dict, request_id, clearance,
-                        level: str, conn: _Connection | None,
-                        cancel: threading.Event | None,
-                        scope: _RequestScope | None) -> dict:
-        breaker = self._breakers["ask"]
+    async def _data_path(self, op: str, request: dict, request_id,
+                         clearance, level: str, conn: _Connection | None,
+                         cancel: threading.Event | None,
+                         scope: _RequestScope | None) -> dict:
+        """The one data-op pipeline, shared by ``ask`` and ``assert``.
+
+        Breaker, probe, admission, scope marks, the RW lock (read side
+        for an ask, write side for an assert), pool lease, executor hop,
+        success accounting; admission and the probe are released on
+        every exit, and an exception from the hop becomes an error
+        response through :data:`_ERRORS`.
+        """
+        breaker = self._breakers[op]
         if not breaker.allow():
             self.stats.breaker_rejected_total += 1
             return error_response(
                 request_id, "breaker-open",
-                f"ask circuit breaker is {breaker.state} after "
+                f"{op} circuit breaker is {breaker.state} after "
                 f"{breaker.threshold} consecutive failures",
                 retry_after=round(breaker.retry_after(), 3))
         # If allow() just claimed the half-open probe slot, every exit
@@ -1192,47 +1213,73 @@ class MultiLogServer:
             return error_response(request_id, denied["code"],
                                   denied["message"],
                                   retry_after=denied["retry_after"])
-        engine = request.get("engine") or self.config.engine
+        ask = op == "ask"
+        engine = (request.get("engine") or self.config.engine) if ask else None
         if scope is not None:
             scope.mark("admission_s", scope.started)
-            scope.query = request["query"]
+            scope.query = request["query"] if ask else request["clause"]
             scope.engine = engine
         timeout_s = self._request_timeout(request, conn)
-        degrade = self.stats.inflight >= self.config.degrade_threshold()
+        degrade = ask and self.stats.inflight >= self.config.degrade_threshold()
         loop = asyncio.get_running_loop()
         try:
             lock_started = perf_counter()
-            async with self._rw.read():
+            async with self._rw.read() if ask else self._rw.write():
                 self.stats.observe_lock_wait(
-                    "read", perf_counter() - lock_started)
+                    "read" if ask else "write", perf_counter() - lock_started)
                 if scope is not None:
                     scope.mark("lock_wait_s", lock_started)
-                # Writers are excluded while we hold the read side, so the
-                # version is the snapshot every answer is computed at.
+                # Deadlines gate asserts only *before* the engine runs: an
+                # assert is never cancelled mid-flight, because by the time
+                # the deadline could trip, the journal may already hold the
+                # record -- and an acknowledged-on-disk but
+                # reported-dead-to-the-client write is the worst outcome.
+                if (not ask and timeout_s is not None
+                        and perf_counter() - lock_started > timeout_s):
+                    self.stats.errors_total += 1
+                    self.stats.deadline_total += 1
+                    return error_response(
+                        request_id, "deadline",
+                        f"deadline of {timeout_s}s passed while waiting "
+                        "for the write lock; clause not applied")
+                # Writers are excluded while an ask holds the read side, so
+                # the version is the snapshot every answer is computed at.
                 version = self.root.database.version
                 pool_started = perf_counter()
                 async with self.pool.lease(clearance) as session:
                     if scope is not None:
                         scope.mark("pool_wait_s", pool_started)
-                    run = functools.partial(self._run_ask, session,
-                                            request["query"], engine, degrade,
-                                            timeout_s, cancel, scope)
-                    if scope is not None and scope.root is not None:
-                        # run_in_executor does NOT copy contextvars: copy
-                        # the context holding the request's parent span
-                        # here, so the session's per-ask recorder grafts
-                        # its engine spans under our root.
-                        with use_obs(ObsContext(parent_span=scope.root)):
-                            run_ctx = contextvars.copy_context()
-                        run = functools.partial(run_ctx.run, run)
+                    if ask:
+                        run = functools.partial(
+                            self._run_ask, session, request["query"], engine,
+                            degrade, timeout_s, cancel, scope)
+                        if scope is not None and scope.root is not None:
+                            # run_in_executor does NOT copy contextvars: copy
+                            # the context holding the request's parent span
+                            # here, so the session's per-ask recorder grafts
+                            # its engine spans under our root.
+                            with use_obs(ObsContext(parent_span=scope.root)):
+                                run_ctx = contextvars.copy_context()
+                            run = functools.partial(run_ctx.run, run)
+                    else:
+                        run = functools.partial(
+                            session.assert_clause, request["clause"],
+                            strict=bool(request.get("strict")))
                     engine_started = perf_counter()
-                    answers, degraded = await loop.run_in_executor(
-                        self._threads, run)
+                    result = await loop.run_in_executor(self._threads, run)
                     if scope is not None:
                         scope.mark("engine_s", engine_started)
-            self.stats.asks_total += 1
+                if not ask:
+                    # The write side drained every reader; the bump is the
+                    # next snapshot readers will see.
+                    version = self.root.database.version
             self.stats.completed_total += 1
             breaker.record_success()
+            if not ask:
+                self.stats.asserts_total += 1
+                return ok_response(request_id, version=version)
+            self.stats.asks_total += 1
+            answers, degraded = result
             if degraded is not None:
                 self.stats.degraded_total += 1
                 return ok_response(request_id, answers=answers, version=version,
@@ -1240,40 +1287,16 @@ class MultiLogServer:
                                    engine=engine)
             return ok_response(request_id, answers=answers, version=version,
                                complete=True, engine=engine)
-        except BudgetExceededError as exc:
-            # The request's own budget tripping is client-attributable:
-            # it never counts against the breaker.
-            self.stats.errors_total += 1
-            if exc.reason == "cancelled":
-                self.stats.cancelled_total += 1
-                return error_response(request_id, "cancelled",
-                                      "client disconnected mid-ask; "
-                                      "evaluation cancelled")
-            if exc.reason == "timeout" and timeout_s is not None:
-                self.stats.deadline_total += 1
-                return error_response(
-                    request_id, "deadline",
-                    f"deadline of {timeout_s}s passed: {exc}")
-            return error_response(request_id, "rejected", str(exc))
-        except MultiLogSyntaxError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "bad-query", str(exc))
-        except LatticeError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "bad-clearance", str(exc))
-        except SessionBusyError as exc:
-            # Should be impossible behind the pool's exclusive checkout;
-            # if it surfaces, report it as its own code so it is visible.
-            self.stats.errors_total += 1
-            return error_response(request_id, "busy", str(exc))
-        except ReproError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "rejected", str(exc))
         except Exception as exc:  # noqa: BLE001 -- server must not die
+            rule = _error_rule(op, exc, timeout_s)
             self.stats.errors_total += 1
-            breaker.record_failure()
-            return error_response(request_id, "internal",
-                                  f"{type(exc).__name__}: {exc}")
+            if rule.counter is not None:
+                setattr(self.stats, rule.counter,
+                        getattr(self.stats, rule.counter) + 1)
+            if rule.breaker:
+                breaker.record_failure()
+            return error_response(request_id, rule.code, rule.message.format(
+                exc=exc, kind=type(exc).__name__, timeout_s=timeout_s))
         finally:
             self._release(level)
             if probe:
@@ -1321,112 +1344,6 @@ class MultiLogServer:
             return answers, degraded
         finally:
             session.budget = saved
-
-    async def _serve_assert(self, request: dict, request_id, clearance,
-                            conn: _Connection | None = None) -> dict:
-        level = self._level_of(clearance)
-        scope = self._begin_scope("assert", request, level)
-        response = await self._assert_path(request, request_id, clearance,
-                                           level, conn, scope)
-        self._finish_scope(scope, response)
-        return response
-
-    async def _assert_path(self, request: dict, request_id, clearance,
-                           level: str, conn: _Connection | None,
-                           scope: _RequestScope | None) -> dict:
-        breaker = self._breakers["assert"]
-        if not breaker.allow():
-            self.stats.breaker_rejected_total += 1
-            return error_response(
-                request_id, "breaker-open",
-                f"assert circuit breaker is {breaker.state} after "
-                f"{breaker.threshold} consecutive failures",
-                retry_after=round(breaker.retry_after(), 3))
-        # Same probe contract as _serve_ask: a claimed half-open probe
-        # is resolved on every path -- verdict-less exits release it.
-        probe = breaker.probing
-        denied = self._admit(level)
-        if denied is not None:
-            if probe:
-                breaker.release_probe()
-            return error_response(request_id, denied["code"],
-                                  denied["message"],
-                                  retry_after=denied["retry_after"])
-        if scope is not None:
-            scope.mark("admission_s", scope.started)
-            scope.query = request["clause"]
-        timeout_s = self._request_timeout(request, conn)
-        started = perf_counter()
-        loop = asyncio.get_running_loop()
-        try:
-            async with self._rw.write():
-                self.stats.observe_lock_wait(
-                    "write", perf_counter() - started)
-                if scope is not None:
-                    scope.mark("lock_wait_s", started)
-                # The write side drained every reader: no ask is mid-flight
-                # over the database while the clause lands, and the version
-                # bump below is the next snapshot readers will see.
-                #
-                # Deadlines gate asserts only *before* the engine runs: an
-                # assert is never cancelled mid-flight, because by the time
-                # the deadline could trip, the journal may already hold the
-                # record -- and an acknowledged-on-disk but
-                # reported-dead-to-the-client write is the worst outcome.
-                if (timeout_s is not None
-                        and perf_counter() - started > timeout_s):
-                    self.stats.errors_total += 1
-                    self.stats.deadline_total += 1
-                    return error_response(
-                        request_id, "deadline",
-                        f"deadline of {timeout_s}s passed while waiting "
-                        "for the write lock; clause not applied")
-                pool_started = perf_counter()
-                async with self.pool.lease(clearance) as session:
-                    if scope is not None:
-                        scope.mark("pool_wait_s", pool_started)
-                    engine_started = perf_counter()
-                    await loop.run_in_executor(
-                        self._threads,
-                        functools.partial(session.assert_clause,
-                                          request["clause"],
-                                          strict=bool(request.get("strict"))))
-                    if scope is not None:
-                        scope.mark("engine_s", engine_started)
-                version = self.root.database.version
-            self.stats.asserts_total += 1
-            self.stats.completed_total += 1
-            breaker.record_success()
-            return ok_response(request_id, version=version)
-        except MultiLogSyntaxError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "bad-query", str(exc))
-        except LatticeError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "bad-clearance", str(exc))
-        except SessionBusyError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "busy", str(exc))
-        except JournalError as exc:
-            # Durability failing (full disk, fsync fault) is a server
-            # problem, not a client one: it counts against the breaker so
-            # repeated failures start failing fast instead of grinding
-            # every client through the same broken disk.
-            self.stats.errors_total += 1
-            breaker.record_failure()
-            return error_response(request_id, "internal", str(exc))
-        except ReproError as exc:
-            self.stats.errors_total += 1
-            return error_response(request_id, "rejected", str(exc))
-        except Exception as exc:  # noqa: BLE001
-            self.stats.errors_total += 1
-            breaker.record_failure()
-            return error_response(request_id, "internal",
-                                  f"{type(exc).__name__}: {exc}")
-        finally:
-            self._release(level)
-            if probe:
-                breaker.release_probe()
 
     # -- dashboard -----------------------------------------------------
     def metrics_text(self) -> str:

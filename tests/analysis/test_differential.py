@@ -14,7 +14,7 @@ from repro.errors import DatalogError, ReproError
 from repro.multilog.session import MultiLogSession
 from repro.workloads import random_datalog_program, random_multilog_database
 
-STRATEGIES = ("naive", "seminaive", "compiled")
+STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
 
 CLEAN_PROGRAMS = [
     "path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z). "

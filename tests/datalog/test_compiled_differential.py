@@ -11,7 +11,7 @@ import pytest
 from repro.datalog import evaluate, parse_program
 from repro.workloads.generator import random_datalog_program
 
-STRATEGIES = ("naive", "seminaive", "compiled")
+STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
 
 
 def full_model(db):

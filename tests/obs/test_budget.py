@@ -12,7 +12,7 @@ from repro.errors import BudgetExceededError
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget, observe, use
 
-STRATEGIES = ("naive", "seminaive", "compiled")
+STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
 
 
 def chain_tc(n: int) -> str:

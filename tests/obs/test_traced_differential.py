@@ -12,7 +12,7 @@ from repro.datalog import evaluate, parse_program
 from repro.obs import observe, use
 from repro.workloads.generator import random_datalog_program
 
-STRATEGIES = ("naive", "seminaive", "compiled")
+STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
 
 
 def full_model(db):
