@@ -143,7 +143,9 @@ class Database:
     # ------------------------------------------------------------------
     def index(self, predicate: str, positions: tuple[int, ...]) -> Index:
         """The (lazily built) composite index over ``positions``."""
-        indexes = self._indexes.setdefault(predicate, {})
+        indexes = self._indexes.get(predicate)
+        if indexes is None:
+            indexes = self._indexes[predicate] = {}
         index = indexes.get(positions)
         if index is None:
             index = {}
@@ -156,7 +158,12 @@ class Database:
     def bucket(self, predicate: str, positions: tuple[int, ...], key: tuple) -> Iterable[Row]:
         """Rows whose values at ``positions`` equal ``key`` (index probe)."""
         self.probe_count += 1
-        return self.index(predicate, positions).get(key, _EMPTY)
+        # Fast path: two lookups and nothing built once the index exists.
+        indexes = self._indexes.get(predicate)
+        index = indexes.get(positions) if indexes is not None else None
+        if index is None:
+            index = self.index(predicate, positions)
+        return index.get(key, _EMPTY)
 
     def candidates(self, atom: Atom, subst: Substitution) -> Iterable[Row]:
         """Rows that could match ``atom`` under ``subst``.

@@ -37,6 +37,7 @@ serve every reader at a clearance).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 import weakref
@@ -123,8 +124,11 @@ class MultiLogSession:
         #: built against; siblings over the same database compare it to
         #: spot mutations made through *other* sessions.
         self._cache_version = self.database.version
+        #: totals across served asks; each ask counts into its own
+        #: collector first (:meth:`_ask_locked`).
         self._metrics = MetricsCollector()
         self._last_recorder: TraceRecorder | None = None
+        self._last_metrics: MetricsCollector | None = None
         self._last_stats: EngineMetrics | None = None
         self._last_query: str | Query | None = None
         #: single-flight guard: a session is *not* reentrant -- ``ask``/
@@ -348,14 +352,15 @@ class MultiLogSession:
     def ask(self, query: str | Query, engine: str = "operational") -> list[dict[str, object]]:
         """Answer a query; one ``{variable: value}`` dict per answer.
 
-        Runs under a fresh trace recorder and this session's cumulative
-        metrics collector; inspect the result with :meth:`last_stats` /
-        :meth:`last_trace`.  When the session has a budget, an overrun
+        Runs under a fresh trace recorder and a fresh metrics collector,
+        folded into this session's totals once the ask is served; inspect
+        the result with :meth:`last_stats` / :meth:`last_trace` /
+        :meth:`last_ask_metrics`.  When the session has a budget, an overrun
         raises :class:`~repro.errors.BudgetExceededError` carrying the
         partial :class:`~repro.obs.metrics.EngineMetrics`.
 
         Asks are **single-flight** per session: all per-ask state (the
-        recorder, the query, the stats snapshot) lives in locals until
+        recorder, the collector, the query) lives in locals until
         :meth:`_finish_ask` publishes it, and a second caller entering
         concurrently raises :class:`~repro.errors.SessionBusyError`
         rather than racing the engine caches.
@@ -372,6 +377,12 @@ class MultiLogSession:
 
     def _ask_locked(self, query: str | Query, engine: str,
                     model=None) -> list[dict[str, object]]:
+        """One ask under its own recorder and its own metrics collector.
+
+        The ask-local collector is what the engines count into; it
+        reaches the session totals only through :meth:`_finish_ask`, so
+        a failed ask cannot leak its firings or probes into them.
+        """
         if engine not in ("operational", "reduction"):
             raise MultiLogError(f"unknown engine {engine!r}; use 'operational' or 'reduction'")
         # Head-based sampling: decide before any span exists.  Unsampled
@@ -399,12 +410,13 @@ class MultiLogSession:
         meter = self.budget.meter() if self.budget is not None else None
         faults = self._fault_plan if self._fault_plan is not None \
             else ambient.faults
-        ctx = ObsContext(recorder, self._metrics, meter, faults, audit=self._audit)
+        metrics = MetricsCollector()
+        metrics.count_ask()
+        ctx = ObsContext(recorder, metrics, meter, faults, audit=self._audit)
         # ctx.recorder is the fault-wrapped view of ``recorder`` (identical
         # when no plan is armed): session-level spans must announce through
         # it so ``query``/``parse`` are injectable fault points too.
         spans = ctx.recorder
-        self._metrics.count_ask()
         started = perf_counter() if self._histograms is not None else 0.0
         try:
             with _use_obs(ctx):
@@ -423,7 +435,7 @@ class MultiLogSession:
                             reduced.audit_once(ctx.audit, model)
                     span.set(answers=len(answers))
         except BudgetExceededError as exc:
-            self._finish_ask(recorder, query, budget_exceeded=exc.reason)
+            self._finish_ask(recorder, metrics, query, budget_exceeded=exc.reason)
             exc.metrics = self._last_stats
             raise
         except Exception:
@@ -432,62 +444,67 @@ class MultiLogSession:
             # unwound through are already closed ``aborted=True``, so
             # snapshot them before propagating -- ``:trace`` and
             # ``last_trace()`` then show where the ask died.
-            self._finish_ask(recorder, query)
+            self._finish_ask(recorder, metrics, query, served=False)
             raise
         if self._histograms is not None and not sampled:
             self._histograms.observe("query", perf_counter() - started)
-        self._finish_ask(recorder, query)
+        self._finish_ask(recorder, metrics, query)
         return answers
 
-    def _finish_ask(self, recorder, query: str | Query | None = None,
-                    budget_exceeded: str | None = None) -> None:
+    def _finish_ask(self, recorder, metrics: MetricsCollector,
+                    query: str | Query | None = None,
+                    budget_exceeded: str | None = None,
+                    served: bool = True) -> None:
         """Publish one ask's state onto the session, in one place.
 
-        Per-ask state is ask-local until here; publishing it atomically
-        at the end (success and every failure path) is what lets the
-        single-flight guard make ``last_stats``/``last_trace``/
-        ``explain()`` coherent for exclusive holders.
+        Per-ask state is ask-local until here.  A served ask's collector
+        -- a budget abort serves its partial work -- is folded into the
+        session totals; a failed one is dropped, and only its
+        ``attempts`` ordinal is kept.  Publishing atomically at the end
+        (success and every failure path) is what lets the single-flight
+        guard make ``last_stats``/``last_trace``/``explain()`` coherent
+        for exclusive holders.
         """
+        totals = self._metrics
+        if served:
+            totals.merge(metrics)
+        else:
+            totals.attempts += metrics.attempts
         self._last_recorder = recorder
+        self._last_metrics = metrics if served else None
         if query is not None:
             self._last_query = query
-        self._last_stats = self._metrics.snapshot(recorder, budget_exceeded=budget_exceeded)
+        self._last_stats = totals.snapshot(recorder, budget_exceeded=budget_exceeded)
 
-    def _mark_degraded(self, rung: str, reason: str) -> None:
-        """Stamp the most recent ask as degraded (resilience layer hook).
+    def _settle(self, outcome) -> None:
+        """Publish a settled retry ladder onto the most recent ask.
 
-        Surfaces through :meth:`last_stats` (``degraded="rung:reason"``)
-        and a ``degraded`` attribute on the ask's root span, so ``:stats``
-        and ``:trace`` show that the answers came from a fallback rung or
-        a budget-truncated run.
+        The resilience executor calls this once per ladder with its
+        :class:`~repro.resilience.executor.Outcome`.  The tries count
+        into the session's resilience totals, and ``last_stats()`` names
+        the attempt and rung that served the answers.  A degraded
+        answer is stamped ``degraded="rung:reason"`` on the stats and
+        ``degraded``/``rung`` on the ask's root span, so ``:stats`` and
+        ``:trace`` show that it came from a fallback rung or a
+        budget-truncated run.
         """
-        import dataclasses
-
+        totals = self._metrics
+        totals.retries += outcome.retries
+        totals.fallbacks += outcome.fallbacks
+        if outcome.degraded:
+            totals.degraded_asks += 1
+        stats = self._last_stats
+        if stats is None:
+            return
+        spans = stats.spans
         roots = getattr(self._last_recorder, "roots", None)
-        if roots:
-            roots[-1].set(degraded=True, rung=rung)
-        if self._last_stats is not None:
-            self._last_stats = dataclasses.replace(
-                self._last_stats, degraded=f"{rung}:{reason}",
-                spans=tuple(self._last_recorder.to_dicts())
-                if self._last_recorder is not None else self._last_stats.spans)
-
-    def _stamp_attempt(self, rung: str | None, attempt: int | None) -> None:
-        """Tag the most recent stats snapshot with the *serving* attempt.
-
-        The resilience executor calls this after a retry ladder settles,
-        so ``:stats`` reports which rung and which attempt produced the
-        answers instead of an anonymous merge of aborted tries.
-        """
-        import dataclasses
-
-        if self._last_stats is not None:
-            self._last_stats = dataclasses.replace(
-                self._last_stats, rung=rung,
-                attempt=attempt if attempt is not None else self._last_stats.attempt,
-                retries=self._metrics.retries,
-                fallbacks=self._metrics.fallbacks,
-                degraded_asks=self._metrics.degraded_asks)
+        if outcome.degraded and roots:
+            roots[-1].set(degraded=True, rung=outcome.rung)
+            spans = tuple(self._last_recorder.to_dicts())
+        self._last_stats = dataclasses.replace(
+            stats, rung=outcome.rung, attempt=outcome.attempts or stats.attempt,
+            degraded=outcome.degraded, spans=spans, retries=totals.retries,
+            fallbacks=totals.fallbacks, degraded_asks=totals.degraded_asks)
 
     def last_stats(self) -> EngineMetrics | None:
         """Metrics snapshot taken at the end of the most recent ask.
@@ -501,6 +518,17 @@ class MultiLogSession:
     def last_trace(self) -> TraceRecorder | None:
         """The span recorder of the most recent ask (``None`` before one)."""
         return self._last_recorder
+
+    def last_ask_metrics(self) -> MetricsCollector | None:
+        """The most recent ask's own collector, if that ask was served.
+
+        Unlike :meth:`last_stats`, whose counters are cumulative, it
+        holds only what that one ask counted: the serving layer reads a
+        request's rows, probes and top rule firings here.  ``None``
+        before the first ask and after an ask that failed (its collector
+        was dropped).  Read it, do not write it.
+        """
+        return self._last_metrics
 
     # ------------------------------------------------------------------
     def enable_telemetry(self, sample_rate: float = 1.0, sink=None,
@@ -655,10 +683,11 @@ class MultiLogSession:
         with self._single_flight("analyze"):
             self._revalidate()
             recorder = TraceRecorder(histograms=self._histograms, sink=self._sink)
-            ctx = ObsContext(recorder, self._metrics, audit=self._audit)
+            metrics = MetricsCollector()
+            ctx = ObsContext(recorder, metrics, audit=self._audit)
             with _use_obs(ctx):
                 report = analyze_database(self.database, self.clearance)
-            self._finish_ask(recorder)
+            self._finish_ask(recorder, metrics)
             return report
 
     def run_stored_queries(self, engine: str = "operational") -> list[tuple[Query, list[dict[str, object]]]]:

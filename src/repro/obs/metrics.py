@@ -2,8 +2,9 @@
 
 A :class:`MetricsCollector` is the mutable side: the engines increment
 per-rule firing counts, per-scope fixpoint round counts and join-probe
-totals into it as they run.  It is cheap enough to keep attached to a
-long-lived session -- counters are cumulative across queries, and
+totals into it as they run.  A session counts each ask in a fresh
+collector and folds it into its cumulative one with
+:meth:`MetricsCollector.merge` once the ask is served;
 :meth:`MetricsCollector.snapshot` freezes the current state (plus the
 per-layer :func:`repro.cache.cache_stats` and an optional span forest)
 into an immutable :class:`EngineMetrics`.
@@ -166,15 +167,17 @@ class EngineMetrics:
 
 
 class MetricsCollector:
-    """Mutable counters the engines write into (cumulative across asks).
+    """Mutable counters the engines write into.
 
-    "Cumulative" means across *served* asks: the resilience executor
-    brackets each retry-ladder attempt with :meth:`mark` /
-    :meth:`rollback` so an aborted attempt's firings, rounds and probes
-    do not merge into the counters the serving attempt reports.  The
-    ``attempts`` ordinal and the resilience counters (``retries`` /
-    ``fallbacks`` / ``degraded_asks``) deliberately survive rollback --
-    they record that the attempts happened.
+    A session keeps two kinds: one ask-local collector per ask, which
+    the engines write into while the ask runs, and one cumulative
+    collector across *served* asks.  An ask that returns (or ends in a
+    budget abort, whose partial work is what it served) is folded into
+    the totals with :meth:`merge`; any other failure drops its
+    collector, so an aborted attempt's firings, rounds and probes never
+    reach the totals.  The ``attempts`` ordinal still counts a dropped
+    ask, and the resilience counters (``retries`` / ``fallbacks`` /
+    ``degraded_asks``) record the retry ladder's tries.
     """
 
     __slots__ = ("rule_firings", "rows_derived", "rounds",
@@ -222,40 +225,22 @@ class MetricsCollector:
         self.asks += 1
         self.attempts += 1
 
-    def count_retry(self) -> None:
-        self.retries += 1
+    def merge(self, ask: "MetricsCollector") -> None:
+        """Fold one served ask's collector into these totals.
 
-    def count_fallback(self) -> None:
-        self.fallbacks += 1
-
-    def count_degraded(self) -> None:
-        self.degraded_asks += 1
-
-    # -- attempt bracketing (resilience executor) ------------------------
-    def mark(self) -> tuple:
-        """An opaque restore point taken before a retry-ladder attempt."""
-        return (dict(self.rule_firings), dict(self.rows_derived),
-                dict(self.rounds), self.join_probes, self.candidate_calls,
-                self.asks, self.batch_probes, self.batch_builds,
-                self.batch_dedup_rows)
-
-    def rollback(self, state: tuple) -> None:
-        """Restore the engine counters to ``state`` (aborted attempt).
-
-        ``attempts`` and the resilience counters are *not* restored: the
-        aborted attempt still happened and should still be countable.
+        Costs O(labels the ask touched), not O(labels ever seen).
         """
-        (firings, rows, rounds, probes, candidates, asks,
-         batch_probes, batch_builds, batch_dedup) = state
-        self.rule_firings = Counter(firings)
-        self.rows_derived = Counter(rows)
-        self.rounds = dict(rounds)
-        self.join_probes = probes
-        self.candidate_calls = candidates
-        self.asks = asks
-        self.batch_probes = batch_probes
-        self.batch_builds = batch_builds
-        self.batch_dedup_rows = batch_dedup
+        self.rule_firings.update(ask.rule_firings)
+        self.rows_derived.update(ask.rows_derived)
+        for scope, rounds in ask.rounds.items():
+            self.record_rounds(scope, rounds)
+        self.join_probes += ask.join_probes
+        self.candidate_calls += ask.candidate_calls
+        self.batch_probes += ask.batch_probes
+        self.batch_builds += ask.batch_builds
+        self.batch_dedup_rows += ask.batch_dedup_rows
+        self.asks += ask.asks
+        self.attempts += ask.attempts
 
     # -- snapshotting ----------------------------------------------------
     def snapshot(self, recorder=None, budget_exceeded: str | None = None,
@@ -324,24 +309,6 @@ class NullMetrics:
         pass
 
     def add_batch_ops(self, probes: int, builds: int, dedup_rows: int) -> None:
-        pass
-
-    def count_ask(self) -> None:
-        pass
-
-    def count_retry(self) -> None:
-        pass
-
-    def count_fallback(self) -> None:
-        pass
-
-    def count_degraded(self) -> None:
-        pass
-
-    def mark(self) -> tuple:
-        return ()
-
-    def rollback(self, state: tuple) -> None:
         pass
 
 

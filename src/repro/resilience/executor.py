@@ -221,9 +221,11 @@ class ResilientExecutor:
         reduction path re-evaluates the reduced program one ladder rung
         down and serves the ask from that model; budget exhaustion with
         ``allow_partial`` salvages the answers derivable from the partial
-        model and returns them in a :class:`PartialResult`.  Either
-        degradation is surfaced through ``session.last_stats().degraded``
-        and a ``degraded`` attribute on the ask's root span.
+        model and returns them in a :class:`PartialResult`.  Every rung
+        runs under the session's budget; the executor's own ``budget``
+        only bounds :meth:`evaluate`.  Either degradation is surfaced
+        through ``session.last_stats().degraded`` and a ``degraded``
+        attribute on the ask's root span.
         """
         # The session's native rung: a columnar session serves its asks
         # from the vectorized model, a row session from the compiled one.
@@ -233,58 +235,29 @@ class ResilientExecutor:
         outcome = Outcome(requested=native)
         self.last_outcome = outcome
         rungs = self._rungs_from(native) if self.ladder else (native,)
-        collector = getattr(session, "_metrics", None)
 
         def attempt_rung(rung: str) -> list[dict[str, object]]:
-            # Bracket the attempt: an aborted try's firings/rounds/probes
-            # roll back so ``:stats`` after the ladder settles reports the
-            # *serving* attempt, not a merge of every aborted one.  A
-            # budget abort is exempt -- when ``allow_partial`` salvages
-            # from it, that attempt IS the serving one.
-            state = collector.mark() if collector is not None else None
-            try:
-                if rung == rungs[0]:
-                    return session.ask(query, engine=engine)
-                # A lower rung: build a private least model with the
-                # simpler strategy and serve the ask from it.  The shared
-                # model of the snapshot is never edited: sibling sessions
-                # may be reading it.  (The operational engine has no
-                # strategy knob; the reduction semantics answers the same
-                # queries -- Theorem 6.1.)
-                model = _engine_evaluate(session.reduced.program, strategy=rung,
-                                         budget=self.budget)
-                return session._ask_model(query, model)
-            except BudgetExceededError:
-                raise
-            except BaseException:
-                if state is not None:
-                    collector.rollback(state)
-                raise
-
-        def settle(rung: str) -> None:
-            """Sync the outcome's resilience counters into the session."""
-            if collector is None:
-                return
-            for _ in range(outcome.retries):
-                collector.count_retry()
-            for _ in range(outcome.fallbacks):
-                collector.count_fallback()
-            if outcome.degraded:
-                collector.count_degraded()
-            stamp = getattr(session, "_stamp_attempt", None)
-            if stamp is not None:
-                stamp(rung, outcome.attempts or None)
+            if rung == rungs[0]:
+                return session.ask(query, engine=engine)
+            # A lower rung: build a private least model with the simpler
+            # strategy, under the budget the first rung ran under, and
+            # serve the ask from it.  The shared model of the snapshot is
+            # never edited: sibling sessions may be reading it.  (The
+            # operational engine has no strategy knob; the reduction
+            # semantics answers the same queries -- Theorem 6.1.)
+            model = _engine_evaluate(session.reduced.program, strategy=rung,
+                                     budget=session.budget)
+            return session._ask_model(query, model)
 
         try:
             answers = self._run_rungs(rungs, attempt_rung, outcome)
         except BudgetExceededError as exc:
             if not self.allow_partial:
-                settle(outcome.rung)
+                session._settle(outcome)
                 raise
             outcome.degraded = f"{outcome.rung}:budget-{exc.reason}"
             salvaged = self._salvage_answers(session, query, exc)
-            settle(outcome.rung)
-            session._mark_degraded(outcome.rung, f"budget-{exc.reason}")
+            session._settle(outcome)
             return PartialResult(
                 complete=False, rung=outcome.rung,
                 reason=f"budget-{exc.reason}",
@@ -292,10 +265,7 @@ class ResilientExecutor:
             )
         if outcome.rung != rungs[0]:
             outcome.degraded = f"{outcome.rung}:fallback"
-            settle(outcome.rung)
-            session._mark_degraded(outcome.rung, "fallback")
-        else:
-            settle(outcome.rung)
+        session._settle(outcome)
         return answers
 
     def _salvage_answers(self, session, query, exc: BudgetExceededError

@@ -490,35 +490,25 @@ class _RequestScope:
         self.breakdown[key] = perf_counter() - since
 
 
-def _ask_run_stats(session, before, want_explain: bool) -> dict | None:
-    """Per-request engine deltas + EXPLAIN sketch for the slow log.
+def _ask_run_stats(ask, want_explain: bool) -> dict | None:
+    """One request's engine counts + EXPLAIN sketch for the slow log.
 
-    ``before`` is the session's cumulative EngineMetrics snapshot taken
-    just before the ask (``None`` on a fresh session); each ask publishes
-    a *fresh* snapshot object, so ``before`` is stable and the delta
-    against the post-ask snapshot isolates this request's rows/probes/
-    firings.  The firings scan and the EXPLAIN sketch (top five rules by
-    firing count -- enough to see which join went quadratic without
-    retaining the whole derivation) are only consumed by the slow log,
-    so ``want_explain=False`` keeps the traced hot path down to four
-    integer reads.
+    ``ask`` is the served ask's own collector
+    (``MultiLogSession.last_ask_metrics()``), so its counters are this
+    request's alone.  The firings scan and the EXPLAIN sketch (top five
+    rules by firing count -- enough to see which join went quadratic
+    without retaining the whole derivation) are only consumed by the
+    slow log, so ``want_explain=False`` keeps the traced hot path down
+    to a few integer reads.
     """
-    after = session.last_stats()
-    if after is None:
+    if ask is None:
         return None
-    rows0 = before.total_rows_derived if before is not None else 0
-    probes0 = ((before.join_probes + before.batch_probes)
-               if before is not None else 0)
-    rows = after.total_rows_derived - rows0
-    probes = (after.join_probes + after.batch_probes) - probes0
+    rows = sum(ask.rows_derived.values())
+    probes = ask.join_probes + ask.batch_probes
     if not want_explain:
         return {"rows": rows, "probes": probes}
-    firings0 = before.rule_firings if before is not None else {}
-    fired = sorted(
-        ((count - firings0.get(label, 0), label)
-         for label, count in after.rule_firings.items()
-         if count - firings0.get(label, 0) > 0),
-        reverse=True)
+    fired = sorted(((count, label) for label, count in ask.rule_firings.items()),
+                   reverse=True)
     lines = [f"{count}x {label if len(label) <= 96 else label[:93] + '...'}"
              for count, label in fired[:5]]
     lines.append(f"rows={rows} probes={probes}")
@@ -1313,10 +1303,10 @@ class MultiLogServer:
         combined request budget (deadline + disconnect probe) for the
         duration -- the pool's exclusive checkout makes that safe.
 
-        With a ``scope``, per-request engine deltas (rows, probes, top
-        rule firings) are computed from the session's cumulative
-        EngineMetrics snapshots and stashed on the scope for the slow
-        log's EXPLAIN sketch.  Writing to the scope from this worker
+        With a ``scope``, the request's engine counts (rows, probes, top
+        rule firings) are read off the served ask's own collector and
+        stashed on the scope for the root span and the slow log's
+        EXPLAIN sketch.  Writing to the scope from this worker
         thread is safe: the serving coroutine is parked on the executor
         future until we return.
         """
@@ -1324,13 +1314,11 @@ class MultiLogServer:
 
         saved = session.budget
         base = self._shed_budget if degrade else saved
-        budget = self._combine_budget(base, timeout_s, cancel)
-        session.budget = budget
-        before = session.last_stats() if scope is not None else None
+        session.budget = self._combine_budget(base, timeout_s, cancel)
         try:
             if degrade:
-                executor = ResilientExecutor(allow_partial=True, budget=budget)
-                result = executor.ask(session, query, engine=engine)
+                result = ResilientExecutor(allow_partial=True).ask(
+                    session, query, engine=engine)
                 if isinstance(result, PartialResult):
                     answers, degraded = (result.answers or [],
                                          f"{result.rung}:{result.reason}")
@@ -1340,7 +1328,8 @@ class MultiLogServer:
                 answers, degraded = session.ask(query, engine=engine), None
             if scope is not None:
                 scope.run_stats = _ask_run_stats(
-                    session, before, want_explain=self.slow_log is not None)
+                    session.last_ask_metrics(),
+                    want_explain=self.slow_log is not None)
             return answers, degraded
         finally:
             session.budget = saved

@@ -159,6 +159,85 @@ def test_breakdown_sums_to_wall_time():
     assert root.attrs["rows"] >= 0 and root.attrs["probes"] >= 0
 
 
+def _serial_counts(session, before):
+    """One ask's rows, probes and EXPLAIN lines, from the cumulative
+    ``last_stats()`` a serial session reports before and after it."""
+    after = session.last_stats()
+    firings0 = before.rule_firings if before is not None else {}
+    rows = after.total_rows_derived - (
+        before.total_rows_derived if before is not None else 0)
+    probes = after.join_probes + after.batch_probes - (
+        before.join_probes + before.batch_probes if before is not None else 0)
+    fired = sorted(((count - firings0.get(label, 0), label)
+                    for label, count in after.rule_firings.items()
+                    if count > firings0.get(label, 0)), reverse=True)
+    explain = [f"{count}x {label}" for count, label in fired[:5]]
+    return rows, probes, "\n".join(explain + [f"rows={rows} probes={probes}"])
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_request_counts_equal_serial_per_ask_counts(degraded):
+    """The root span's rows/probes and the slow-log EXPLAIN sketch of one
+    request are that ask's own counts: a plain ask twice (cold, then
+    warm), and an overload-degraded ask whose native rung fails, served
+    from the seminaive fallback rung."""
+    from repro.multilog import MultiLogSession
+    from repro.resilience import ResilientExecutor
+
+    def faulted():
+        plan = FaultPlan()
+        plan.arm("stratum[*]", error="strategy", times=None)
+        return plan
+
+    engine = "reduction" if degraded else "operational"
+    serial = MultiLogSession(D1_SOURCE, clearance="s")
+    if degraded:
+        serial.arm_faults(faulted())
+    expected = []
+    for _ in range(1 if degraded else 2):
+        before = serial.last_stats()
+        if degraded:
+            ResilientExecutor(allow_partial=True).ask(serial, ASK, engine=engine)
+            assert serial.last_stats().degraded == "seminaive:fallback"
+        else:
+            serial.ask(ASK, engine=engine)
+        expected.append(_serial_counts(serial, before))
+    sink = SpanList()
+
+    async def main():
+        overrides = {"degrade_at": 0.0, "engine": engine} if degraded else {}
+        server = await started(trace=True, trace_sink=sink,
+                               slow_threshold_s=0.0, **overrides)
+        try:
+            if degraded:
+                plan = faulted()
+
+                def setup(session, _orig=server.pool._on_create):
+                    _orig(session)
+                    session.arm_faults(plan)
+
+                server.pool._on_create = setup
+            host, port = server.address
+            async with await ServingClient.connect(host, port, "s") as client:
+                for _ in expected:
+                    assert (await client.ask_full(ASK))["complete"] is True
+                entries = (await client.slowlog(clearance="s"))["entries"]
+        finally:
+            await server.stop()
+        return entries
+
+    entries = run(main())
+    roots = [span for span in sink.spans if span.name == "request[ask]"]
+    assert [(root.attrs["rows"], root.attrs["probes"]) for root in roots] \
+        == [(rows, probes) for rows, probes, _ in expected]
+    by_trace = {entry["trace_id"]: entry["explain"] for entry in entries}
+    assert [by_trace[root.attrs["trace_id"]] for root in roots] \
+        == [explain for _, _, explain in expected]
+    served = [span.attrs.get("rung") for root in roots
+              for span in root.find("query")]
+    assert served[-1] == ("seminaive" if degraded else None)
+
+
 # -- trace propagation: HTTP shim ---------------------------------------
 
 def _http_request_bytes(method: str, path: str, body: bytes | None = None,
