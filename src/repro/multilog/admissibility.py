@@ -71,8 +71,8 @@ def _lambda_to_datalog(clauses: list[Clause]) -> Program:
     return program
 
 
-def _labels_used_in_sigma(db: MultiLogDatabase) -> set[str]:
-    """Every ground security label occurring in a Sigma clause."""
+def clause_labels(clause: Clause) -> set[str]:
+    """Every ground security label occurring in one Sigma clause."""
     labels: set[str] = set()
 
     def collect_matom(atom: MAtom) -> None:
@@ -80,20 +80,37 @@ def _labels_used_in_sigma(db: MultiLogDatabase) -> set[str]:
             if isinstance(t, Constant):
                 labels.add(str(t.value))
 
-    for clause in db.secured_clauses:
-        atoms: list[object] = [clause.head, *clause.body]
-        for atom in atoms:
-            if isinstance(atom, MAtom):
-                collect_matom(atom)
-            elif isinstance(atom, MMolecule):
-                for component in atom.atoms():
-                    collect_matom(component)
-            elif isinstance(atom, BAtom):
-                collect_matom(atom.matom)
-            elif isinstance(atom, BMolecule):
-                for component in atom.molecule.atoms():
-                    collect_matom(component)
+    atoms: list[object] = [clause.head, *clause.body]
+    for atom in atoms:
+        if isinstance(atom, MAtom):
+            collect_matom(atom)
+        elif isinstance(atom, MMolecule):
+            for component in atom.atoms():
+                collect_matom(component)
+        elif isinstance(atom, BAtom):
+            collect_matom(atom.matom)
+        elif isinstance(atom, BMolecule):
+            for component in atom.molecule.atoms():
+                collect_matom(component)
     return labels
+
+
+def _labels_used_in_sigma(db: MultiLogDatabase) -> set[str]:
+    """Every ground security label occurring in a Sigma clause."""
+    labels: set[str] = set()
+    for clause in db.secured_clauses:
+        labels |= clause_labels(clause)
+    return labels
+
+
+def _check_labels(context: LatticeContext, used: set[str]) -> None:
+    """Definition 5.3, condition 2, for the labels ``used`` in Sigma."""
+    undeclared = used - context.lattice.levels
+    if undeclared:
+        raise AdmissibilityError(
+            f"Sigma uses security label(s) {sorted(undeclared)} not asserted by "
+            "[[Lambda]] (Definition 5.3, condition 2)"
+        )
 
 
 def lambda_meaning(db: MultiLogDatabase) -> LatticeContext:
@@ -122,13 +139,25 @@ def lambda_meaning(db: MultiLogDatabase) -> LatticeContext:
 def check_admissibility(db: MultiLogDatabase) -> LatticeContext:
     """Definition 5.3; returns the lattice context on success."""
     context = lambda_meaning(db)
-    used = _labels_used_in_sigma(db)
-    undeclared = used - context.lattice.levels
-    if undeclared:
+    _check_labels(context, _labels_used_in_sigma(db))
+    return context
+
+
+def admit_clause(context: LatticeContext, clause: Clause) -> LatticeContext:
+    """Definition 5.3 for an admissible database with lattice ``context``
+    that gains ``clause``, which must not be a Lambda clause.
+
+    ``[[Lambda]]`` depends on the Lambda clauses alone, so conditions 1
+    and 3 still hold and ``context`` is still the lattice; condition 2
+    only needs the new clause's own labels (:func:`clause_labels`, the
+    per-clause half of :func:`check_admissibility`).  Returns ``context``.
+    """
+    if clause.kind() in ("l", "h"):
         raise AdmissibilityError(
-            f"Sigma uses security label(s) {sorted(undeclared)} not asserted by "
-            "[[Lambda]] (Definition 5.3, condition 2)"
-        )
+            f"{clause} is a Lambda clause: it changes [[Lambda]], so the "
+            "whole database must be rechecked (check_admissibility)")
+    if clause.kind() == "m":
+        _check_labels(context, clause_labels(clause))
     return context
 
 

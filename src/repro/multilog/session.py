@@ -57,7 +57,11 @@ from repro.errors import (
     SessionBusyError,
     UnknownModeError,
 )
-from repro.multilog.admissibility import LatticeContext, check_admissibility
+from repro.multilog.admissibility import (
+    LatticeContext,
+    admit_clause,
+    check_admissibility,
+)
 from repro.multilog.ast import Clause, LAtom, MultiLogDatabase, Query
 from repro.multilog.consistency import ConsistencyReport, check_consistency
 from repro.multilog.parser import parse_clause, parse_database, parse_query
@@ -728,9 +732,16 @@ class MultiLogSession:
     def _assert_clause_locked(self, clause: str | Clause, strict: bool) -> None:
         parsed = parse_clause(clause) if isinstance(clause, str) else clause
         database = self.database
+        # Only a Lambda clause can change [[Lambda]]; any other clause is
+        # checked alone against the lattice of the pre-add version.
+        previous = None
+        if parsed.kind() not in ("l", "h"):
+            self._revalidate()
+            previous = self.context
         database.add(parsed)
         try:
-            context = check_admissibility(database)
+            context = (check_admissibility(database) if previous is None
+                       else admit_clause(previous, parsed))
             if strict:
                 report = check_consistency(database, context)
                 if not report.ok:
