@@ -332,41 +332,35 @@ class MultiLogDatabase:
     def clauses(self) -> list[Clause]:
         return self.lattice_clauses + self.secured_clauses + self.plain_clauses
 
-    def atomized_secured_clauses(self) -> list[Clause]:
-        """Sigma with every molecule broken into atomic conjunctions.
+    @staticmethod
+    def atomize(clause: Clause) -> list[Clause]:
+        """``clause`` with every molecule broken into atomic conjunctions.
 
         Head molecules expand into one clause per component m-atom (the
         preprocessor step of Section 5.3); body molecules expand in place.
         """
-        out: list[Clause] = []
-        for clause in self.secured_clauses:
-            body: list[BodyAtom] = []
-            for atom in clause.body:
-                if isinstance(atom, (MMolecule, BMolecule)):
-                    body.extend(atom.atoms())
-                else:
-                    body.append(atom)
-            heads: Iterable[HeadAtom]
-            if isinstance(clause.head, MMolecule):
-                heads = clause.head.atoms()
+        body: list[BodyAtom] = []
+        for atom in clause.body:
+            if isinstance(atom, (MMolecule, BMolecule)):
+                body.extend(atom.atoms())
             else:
-                heads = (clause.head,)
-            for head in heads:
-                out.append(Clause(head, tuple(body)))
-        return out
+                body.append(atom)
+        heads: Iterable[HeadAtom]
+        if isinstance(clause.head, MMolecule):
+            heads = clause.head.atoms()
+        else:
+            heads = (clause.head,)
+        return [Clause(head, tuple(body)) for head in heads]
+
+    def atomized_secured_clauses(self) -> list[Clause]:
+        """Sigma with every clause atomized (:meth:`atomize`)."""
+        return [atomic for clause in self.secured_clauses
+                for atomic in self.atomize(clause)]
 
     def atomized_plain_clauses(self) -> list[Clause]:
         """Pi with body molecules expanded (heads are already p-atoms)."""
-        out: list[Clause] = []
-        for clause in self.plain_clauses:
-            body: list[BodyAtom] = []
-            for atom in clause.body:
-                if isinstance(atom, (MMolecule, BMolecule)):
-                    body.extend(atom.atoms())
-                else:
-                    body.append(atom)
-            out.append(Clause(clause.head, tuple(body)))
-        return out
+        return [atomic for clause in self.plain_clauses
+                for atomic in self.atomize(clause)]
 
     def security_labels(self) -> set[str]:
         """Every ground security label mentioned anywhere in the database."""
