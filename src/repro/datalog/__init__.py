@@ -10,6 +10,7 @@ from repro.datalog.atoms import BUILTIN_PREDICATES, Atom, Literal, atom, neg, po
 from repro.datalog.columnar import ColumnarDatabase
 from repro.datalog.database import Database, Row
 from repro.datalog.engine import (
+    Increment,
     answer_rows,
     evaluate,
     evaluate_goal_rules,
@@ -51,6 +52,7 @@ __all__ = [
     "CompiledRule",
     "Constant",
     "Database",
+    "Increment",
     "Literal",
     "MagicProgram",
     "Program",

@@ -127,10 +127,12 @@ class Database:
         out = Database()
         for predicate, rows in self._facts.items():
             out._facts[predicate] = set(rows)
-        for predicate, indexes in self._indexes.items():
+        # Snapshots of the index maps: a published model may be building
+        # a new index in another thread while it is copied.
+        for predicate, indexes in list(self._indexes.items()):
             out._indexes[predicate] = {
                 positions: {key: list(bucket) for key, bucket in index.items()}
-                for positions, index in indexes.items()
+                for positions, index in list(indexes.items())
             }
         out._version = self._version
         return out

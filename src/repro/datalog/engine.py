@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.builtins import evaluate_builtin
@@ -235,11 +236,21 @@ class _RowFrontier:
         return len(self.fresh)
 
     def store(self, db: Database, plan, rows: list[Row]) -> None:
-        predicate = plan.head_predicate
+        self.load(db, plan.head_predicate, rows)
+
+    def load(self, db: Database, predicate: str, rows: Iterable[Row]) -> None:
+        """Add value ``rows`` to ``db``, keeping the ones that were new."""
         add = self.fresh.add
         for row in rows:
             if db.add(predicate, row):
                 add(predicate, row)
+
+    def absorb(self, other: "_RowFrontier") -> None:
+        for predicate in other.fresh.predicates():
+            self.fresh.add_facts(predicate, other.fresh.rows(predicate))
+
+    def predicates(self) -> set[str]:
+        return set(self.fresh.predicates())
 
     def get(self, key: list) -> Database | None:
         """The delta argument for a variant on ``key = [predicate]``."""
@@ -267,10 +278,27 @@ class _CodedFrontier:
         return self.size
 
     def store(self, db, plan, rows) -> None:
-        fresh = db.insert_coded(plan.head_predicate, plan.head_arity, rows)
+        self._file((plan.head_predicate, plan.head_arity),
+                   db.insert_coded(plan.head_predicate, plan.head_arity, rows))
+
+    def load(self, db, predicate: str, rows: Iterable[Row]) -> None:
+        """Add value ``rows`` to ``db``, keeping the ones that were new."""
+        encode = db.encode_value
+        by_arity: dict[int, list] = {}
+        for row in rows:
+            by_arity.setdefault(len(row), []).append(
+                tuple(encode(value) for value in row))
+        for arity, coded in by_arity.items():
+            self._file((predicate, arity), db.insert_coded(predicate, arity, coded))
+
+    def absorb(self, other: "_CodedFrontier") -> None:
+        for key, batch in other.batches.items():
+            # Copied: ``other``'s batches are the next round's delta.
+            self._file(key, list(batch))
+
+    def _file(self, key: tuple[str, int], fresh) -> None:
         if not fresh:
             return
-        key = (plan.head_predicate, plan.head_arity)
         have = self.batches.get(key)
         if have is None:
             self.batches[key] = fresh
@@ -280,9 +308,29 @@ class _CodedFrontier:
             have.extend(fresh)
         self.size += len(fresh)
 
+    def predicates(self) -> set[str]:
+        return {predicate for predicate, _arity in self.batches}
+
     def get(self, key: list):
         """The batch for a variant on ``key = [predicate, arity]``."""
         return self.batches.get((key[0], key[1]))
+
+
+@dataclass(frozen=True)
+class Increment:
+    """What an insert-only :func:`evaluate` starts from.
+
+    ``model`` is the published least model of a program with the same
+    rules whose facts are a prefix of the evaluated program's; ``facts``
+    are the ground facts the evaluated program has beyond that prefix.
+    The model is copied, never edited.  ``model=None`` records that a
+    predecessor existed but cannot be extended -- ``reason`` says why --
+    so the evaluation runs from scratch and its span says so.
+    """
+
+    model: object | None
+    facts: tuple[Atom, ...] = ()
+    reason: str = ""
 
 
 #: semi-naive strategy -> (plan compiler, frontier type).  Every plan has
@@ -313,28 +361,54 @@ def _round_span(recorder, rounds: int, scope: str):
     return recorder.span(f"round[{rounds}]", scope=scope)
 
 
+def _reads(rule: Rule, predicates: set[str]) -> bool:
+    """True when a positive relational body literal of ``rule`` reads one
+    of ``predicates``."""
+    return any(literal.positive and not literal.atom.is_builtin
+               and literal.predicate in predicates for literal in rule.body)
+
+
 def _evaluate_stratum(strategy: str, rules: list[Rule], db,
                       stratum_predicates: set[str],
-                      recorder, metrics, meter, scope: str) -> None:
+                      recorder, metrics, meter, scope: str,
+                      seed=None) -> None:
     """Semi-naive iteration, the one driver behind every plan kind.
 
     Round 0 fires every rule once against the current database; each
     later round refires only the recursive rules, once per recursive
     literal whose predicate gained rows in the previous round, with that
     literal restricted to those fresh rows.
+
+    With a ``seed`` frontier -- an insert-only evaluation, the rows the
+    database gained since it held the least model of the same rules --
+    round 0 is the seed itself: the rules refire through delta variants
+    on the seed's predicates as well as on the stratum's own, and every
+    fresh row joins the seed, so later strata see all the rows gained
+    below them.
     """
     compile_plan, frontier = _PLAN_KINDS[strategy]
-    plans = [compile_plan(rule, stratum_predicates) for rule in rules]
+    if seed is None:
+        plans = [compile_plan(rule, stratum_predicates) for rule in rules]
+    else:
+        gained = seed.predicates()
+        if not any(_reads(rule, gained) for rule in rules):
+            return  # nothing this stratum reads has changed
+        variant_predicates = stratum_predicates | gained
+        plans = [compile_plan(rule, variant_predicates) for rule in rules
+                 if _reads(rule, variant_predicates)]
     labels = [repr(plan.rule) for plan in plans]
-    delta = frontier()
-    with recorder.span("rule-fire", scope=scope, phase="initial") as span:
-        for plan, label in zip(plans, labels):
-            rows = plan.fire(db)
-            metrics.rule_fired(label, len(rows))
-            delta.store(db, plan, rows)
-        span.set(delta=len(delta))
-    if meter is not None:
-        meter.charge_rows(len(delta), scope)
+    if seed is None:
+        delta = frontier()
+        with recorder.span("rule-fire", scope=scope, phase="initial") as span:
+            for plan, label in zip(plans, labels):
+                rows = plan.fire(db)
+                metrics.rule_fired(label, len(rows))
+                delta.store(db, plan, rows)
+            span.set(delta=len(delta))
+        if meter is not None:
+            meter.charge_rows(len(delta), scope)
+    else:
+        delta = seed
     recursive = [(plan, label) for plan, label in zip(plans, labels)
                  if plan.delta_variants]
     rounds = 0
@@ -355,6 +429,8 @@ def _evaluate_stratum(strategy: str, rules: list[Rule], db,
             span.set(delta=len(fresh))
         if meter is not None:
             meter.charge_rows(len(fresh), scope)
+        if seed is not None:
+            seed.absorb(fresh)
         delta = fresh
     metrics.record_rounds(scope, rounds + 1)
 
@@ -386,11 +462,75 @@ def _evaluate_stratum_naive(rules: list[Rule], db: Database,
     metrics.record_rounds(scope, rounds)
 
 
+def _counters(db) -> tuple[int, ...]:
+    return (db.probe_count, db.candidate_calls, db.batch_probe_count,
+            db.batch_build_count, db.batch_dedup_rows)
+
+
+def _account(metrics, db, before: tuple[int, ...]) -> None:
+    """Fold ``db``'s probe and batch counters since ``before`` into metrics."""
+    probes, candidates, batch_probes, builds, dedup = (
+        now - then for now, then in zip(_counters(db), before))
+    metrics.add_probes(probes)
+    metrics.add_candidate_calls(candidates)
+    metrics.add_batch_ops(batch_probes, builds, dedup)
+
+
+def _run_strata(program: Program, assignment: dict[str, int], strategy: str,
+                optimize: bool, db, seed, recorder, metrics, meter) -> str | None:
+    """Evaluate every stratum of ``program`` into ``db``, lowest first.
+
+    With a ``seed`` (an insert-only evaluation, see :func:`evaluate`)
+    each stratum first checks its negated literals: when one negates a
+    predicate that gained rows, the copied model's rows above need not
+    hold any more, so the run stops and returns that predicate.
+    Otherwise returns ``None``.
+    """
+    before = _counters(db)
+    negated = None
+    try:
+        for level in range(max(assignment.values(), default=0) + 1):
+            stratum_predicates = {p for p, s in assignment.items() if s == level}
+            rules = _stratum_rules(program, stratum_predicates, optimize)
+            if not rules:
+                continue
+            if seed is not None:
+                gained = seed.predicates()
+                negated = next((literal.predicate for rule in rules
+                                for literal in rule.body
+                                if not literal.positive
+                                and literal.predicate in gained), None)
+                if negated is not None:
+                    break
+            scope = f"stratum[{level}]"
+            with recorder.span(scope, rules=len(rules)) as span:
+                if strategy == "naive":
+                    _evaluate_stratum_naive(rules, db, recorder, metrics,
+                                            meter, scope)
+                else:
+                    _evaluate_stratum(strategy, rules, db, stratum_predicates,
+                                      recorder, metrics, meter, scope, seed)
+                span.set(facts=len(db))
+    except BudgetExceededError as exc:
+        _account(metrics, db, before)
+        if exc.metrics is None and metrics.enabled:
+            exc.metrics = metrics.snapshot(recorder)
+        # Everything derived before the abort; the resilience layer
+        # serves PartialResults from it when the caller opts in.  An
+        # insert-only run started from a whole older model, whose rows
+        # above the abort need not hold in the new one, so it leaves none.
+        exc.partial_database = db if seed is None else None
+        raise
+    _account(metrics, db, before)
+    return negated
+
+
 def evaluate(program: Program, strategy: str = "compiled",
              optimize_joins: bool = False,
              budget: EvaluationBudget | None = None,
              analyze: bool = False,
-             backend: str | None = None):
+             backend: str | None = None,
+             increment: Increment | None = None):
     """The stratified least model of ``program`` as a fact store.
 
     ``optimize_joins`` reorders rule bodies most-bound-first before
@@ -404,6 +544,17 @@ def evaluate(program: Program, strategy: str = "compiled",
     across backends.  The ``vectorized`` strategy requires the columnar
     backend and selects it when none is forced; pairing it with an
     explicit ``dict`` raises :class:`~repro.errors.DatalogError`.
+
+    ``increment`` makes the evaluation insert-only (the delta half of
+    counting/DRed view maintenance): the predecessor's model is copied,
+    the new facts are added, and each stratum runs through the
+    semi-naive driver seeded with every row gained so far.  That is
+    exact while no stratum negates a predicate that gained rows -- a
+    stratified program is monotone in its grown inputs then -- so the
+    check runs per stratum, and a failing one recomputes the whole model
+    from scratch.  The ``evaluate`` span records ``incremental`` and,
+    when a predecessor was not used, its ``reason``.  The ``naive``
+    strategy, the differential oracle, always starts from scratch.
 
     Observability: spans, per-rule firing counts and join-probe totals
     are reported into the ambient :class:`repro.obs.ObsContext` (no-ops
@@ -436,61 +587,47 @@ def evaluate(program: Program, strategy: str = "compiled",
             raise DatalogError(
                 "static analysis rejected the program:\n" + report.render_text())
     program.check_safety()
+    optimize = optimize_joins or strategy in ("compiled", "vectorized")
     with recorder.span("evaluate", strategy=strategy) as evaluate_span:
         with recorder.span("stratify") as span:
             assignment = stratify(program)
             span.set(strata=max(assignment.values(), default=0) + 1)
-        db = make_database(backend)
-        facts_by_predicate: dict[str, list[Row]] = {}
-        for fact in program.facts:
-            facts_by_predicate.setdefault(fact.predicate, []).append(
-                fact.ground_tuple())
-        for predicate, rows in facts_by_predicate.items():
-            db.add_facts(predicate, rows)
-        if not program.rules:
-            evaluate_span.set(facts=len(db))
-            return db
-        probes_before = db.probe_count
-        candidates_before = db.candidate_calls
-        batch_before = (db.batch_probe_count, db.batch_build_count,
-                        db.batch_dedup_rows)
-        try:
-            max_stratum = max(assignment.values(), default=0)
-            for level in range(max_stratum + 1):
-                stratum_predicates = {p for p, s in assignment.items() if s == level}
-                rules = _stratum_rules(
-                    program, stratum_predicates,
-                    optimize_joins or strategy in ("compiled", "vectorized"))
-                if not rules:
-                    continue
-                scope = f"stratum[{level}]"
-                with recorder.span(scope, rules=len(rules)) as span:
-                    if strategy == "naive":
-                        _evaluate_stratum_naive(rules, db, recorder, metrics,
-                                                meter, scope)
-                    else:
-                        _evaluate_stratum(strategy, rules, db, stratum_predicates,
-                                          recorder, metrics, meter, scope)
-                    span.set(facts=len(db))
-        except BudgetExceededError as exc:
-            metrics.add_probes(db.probe_count - probes_before)
-            metrics.add_candidate_calls(db.candidate_calls - candidates_before)
-            metrics.add_batch_ops(db.batch_probe_count - batch_before[0],
-                                  db.batch_build_count - batch_before[1],
-                                  db.batch_dedup_rows - batch_before[2])
-            if exc.metrics is None and metrics.enabled:
-                exc.metrics = metrics.snapshot(recorder)
-            # Everything derived before the abort; the resilience layer
-            # serves PartialResults from it when the caller opts in.
-            exc.partial_database = db
-            raise
-        metrics.add_probes(db.probe_count - probes_before)
-        metrics.add_candidate_calls(db.candidate_calls - candidates_before)
-        metrics.add_batch_ops(db.batch_probe_count - batch_before[0],
-                              db.batch_build_count - batch_before[1],
-                              db.batch_dedup_rows - batch_before[2])
-        evaluate_span.set(facts=len(db))
+        reason = increment.reason if increment is not None else ""
+        db = None
+        if (increment is not None and increment.model is not None
+                and strategy != "naive"):
+            if increment.model.backend != resolve_backend(backend):
+                raise DatalogError(
+                    f"cannot extend a {increment.model.backend} model on the "
+                    f"{resolve_backend(backend)} backend")
+            db = increment.model.copy()
+            seed = _PLAN_KINDS[strategy][1]()
+            for predicate, rows in _rows_by_predicate(increment.facts).items():
+                seed.load(db, predicate, rows)
+            negated = _run_strata(program, assignment, strategy, optimize, db,
+                                  seed, recorder, metrics, meter)
+            if negated is not None:
+                reason = f"negation:{negated}"
+                db = None
+        incremental = db is not None
+        if db is None:
+            db = make_database(backend)
+            for predicate, rows in _rows_by_predicate(program.facts).items():
+                db.add_facts(predicate, rows)
+            if program.rules:
+                _run_strata(program, assignment, strategy, optimize, db, None,
+                            recorder, metrics, meter)
+        evaluate_span.set(facts=len(db), incremental=incremental)
+        if reason:
+            evaluate_span.set(reason=reason)
     return db
+
+
+def _rows_by_predicate(facts: Iterable[Atom]) -> dict[str, list[Row]]:
+    grouped: dict[str, list[Row]] = {}
+    for fact in facts:
+        grouped.setdefault(fact.predicate, []).append(fact.ground_tuple())
+    return grouped
 
 
 def evaluate_goal_rules(db: Database, rules: Iterable[Rule]) -> dict[str, set[Row]]:
