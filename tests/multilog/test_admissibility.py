@@ -101,3 +101,41 @@ class TestHappyPath:
         assert is_admissible(d1)
         bad = parse_database("level(u). s[p(k : a -u-> v)].")
         assert not is_admissible(bad)
+
+
+class TestPerClause:
+    """An assert that adds no Lambda clause is checked alone against the
+    lattice of the pre-add version (Definition 5.3, condition 2)."""
+
+    def test_admit_clause_checks_the_new_labels(self, d1):
+        from repro.multilog.admissibility import admit_clause
+        from repro.multilog.parser import parse_clause
+
+        context = check_admissibility(d1)
+        assert admit_clause(context, parse_clause("u[p(k9 : a -u-> 9)].")) is context
+        assert admit_clause(context, parse_clause("q(x).")) is context
+        with pytest.raises(AdmissibilityError, match="condition 2"):
+            admit_clause(context, parse_clause("x[p(k9 : a -u-> 9)]."))
+        with pytest.raises(AdmissibilityError, match="Lambda"):
+            admit_clause(context, parse_clause("level(x)."))
+
+    def test_assert_without_lambda_clause_runs_no_full_check(self, monkeypatch):
+        import repro.multilog.session as session_mod
+        from repro.multilog import MultiLogSession
+
+        session = MultiLogSession("level(u). level(s). order(u, s).",
+                                  clearance="s")
+        full_checks = []
+        real = session_mod.check_admissibility
+        monkeypatch.setattr(session_mod, "check_admissibility",
+                            lambda db: full_checks.append(db) or real(db))
+        session.assert_clause("s[p(k : a -s-> 1)].")
+        assert full_checks == []
+        with pytest.raises(AdmissibilityError, match="condition 2"):
+            session.assert_clause("x[p(k : a -x-> 1)].")
+        assert len(session.database.secured_clauses) == 1
+        session.assert_clause("level(x).")
+        assert len(full_checks) == 1
+        session.assert_clause("x[p(k : a -x-> 1)].")
+        assert len(full_checks) == 1
+        assert "x" in session.lattice.levels
