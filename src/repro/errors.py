@@ -138,9 +138,8 @@ class DataCorruptionError(ResilienceError):
 class StrategyFailureError(ResilienceError):
     """One evaluation strategy failed in a strategy-specific way.
 
-    Signals the :class:`~repro.resilience.ResilientExecutor` to fall down
-    the degradation ladder (``compiled -> seminaive -> naive``) rather
-    than retry the same rung or give up.
+    Signals the :class:`~repro.resilience.ResilientExecutor` to fall
+    back to the ``naive`` rung rather than retry the same rung or give up.
     """
 
     def __init__(self, message: str, strategy: str = ""):

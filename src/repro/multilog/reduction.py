@@ -271,8 +271,8 @@ class ReducedProgram:
     context: LatticeContext
     specialized: bool
     user_modes: frozenset[str]
-    #: resolved storage backend the least model is computed on; the
-    #: columnar backend is paired with the vectorized strategy.
+    #: resolved storage backend the least model is computed on, with the
+    #: strategy :meth:`native_strategy` pairs it with.
     backend: str = "dict"
     #: the database prefix this program translates: per component
     #: (Lambda, Sigma, Pi), the clause count and the last clause object.
@@ -297,6 +297,12 @@ class ReducedProgram:
                                         repr=False, compare=False)
 
     # -- evaluation -------------------------------------------------------
+    @staticmethod
+    def native_strategy(backend: str) -> str:
+        """The strategy the shared least model is built with on ``backend``:
+        the columnar backend pairs with the vectorized strategy."""
+        return "vectorized" if backend == "columnar" else "compiled"
+
     def model(self) -> Database:
         """The stratified least model, built once.
 
@@ -317,8 +323,8 @@ class ReducedProgram:
             with build_lock(self._lock, "reduction-model"):
                 model = self._model
                 if model is None:
-                    strategy = "vectorized" if self.backend == "columnar" else "compiled"
-                    model = evaluate(self.program, strategy=strategy,
+                    model = evaluate(self.program,
+                                     strategy=self.native_strategy(self.backend),
                                      backend=self.backend, increment=self._base)
                     self.fixpoint_runs += 1
                     self._model = model
@@ -432,9 +438,9 @@ class ReducedProgram:
         in a fixed order (sorted by row).  The least model is computed once (see :meth:`model`); each query
         only fires its non-recursive ``__answer`` rules against it, so
         repeated asks never re-run the fixpoint.  ``model`` serves the
-        query from a caller's private model instead (the resilience
-        layer's lower-rung and partial models), leaving the shared one
-        untouched.
+        query from a model private to the caller instead -- one built on
+        the fallback rung inside a session's ask, or the partial model a
+        budget abort left behind -- leaving the shared one untouched.
         """
         body = atomize_body(query.body)
         variables = sorted(

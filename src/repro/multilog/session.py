@@ -46,6 +46,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.cache import VersionedMemo
+from repro.datalog.engine import evaluate
 from repro.datalog.storage import resolve_backend
 from repro.datalog.terms import Constant
 from repro.errors import (
@@ -372,20 +373,18 @@ class MultiLogSession:
         with self._single_flight("ask"):
             return self._ask_locked(query, engine)
 
-    def _ask_model(self, query: str | Query, model) -> list[dict[str, object]]:
-        """:meth:`ask` through the reduction engine, served from ``model``,
-        a least model private to the caller (the resilience layer's
-        lower-rung fallback).  The shared snapshot is left untouched."""
-        with self._single_flight("ask"):
-            return self._ask_locked(query, "reduction", model)
-
     def _ask_locked(self, query: str | Query, engine: str,
-                    model=None) -> list[dict[str, object]]:
+                    rung: str | None = None) -> list[dict[str, object]]:
         """One ask under its own recorder and its own metrics collector.
 
         The ask-local collector is what the engines count into; it
         reaches the session totals only through :meth:`_finish_ask`, so
         a failed ask cannot leak its firings or probes into them.
+
+        ``rung`` (the resilience layer's fallback, reduction engine only)
+        builds a least model of the reduced program with that strategy
+        inside this ask, so its collector, trace, budget and fault plan
+        cover the build; the shared snapshot model is never edited.
         """
         if engine not in ("operational", "reduction"):
             raise MultiLogError(f"unknown engine {engine!r}; use 'operational' or 'reduction'")
@@ -431,6 +430,9 @@ class MultiLogSession:
                         answers = self.engine.solve(parsed)
                     else:
                         reduced = self.reduced
+                        model = None if rung is None else evaluate(
+                            reduced.program, strategy=rung,
+                            backend=reduced.backend)
                         answers = reduced.query(parsed, model=model)
                         if ctx.audit.enabled:
                             # The reduction derives its cross-level reads

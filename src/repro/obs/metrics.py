@@ -80,7 +80,7 @@ class EngineMetrics:
     spans: tuple[dict, ...] = ()
     budget_exceeded: str | None = None
     #: set by the resilience layer when this ask was served degraded:
-    #: ``"<rung>:<reason>"`` (e.g. ``"seminaive:fallback"``,
+    #: ``"<rung>:<reason>"`` (e.g. ``"naive:fallback"``,
     #: ``"compiled:budget-rows"``); ``None`` on the normal path.
     degraded: str | None = None
     #: cumulative resilience counters: transient retries spent, ladder

@@ -14,7 +14,7 @@ model):
 * **Degradation ladder** (:mod:`~repro.resilience.executor`) -- a
   :class:`ResilientExecutor` wrapping ``evaluate`` and
   ``MultiLogSession.ask``: capped-exponential retry for transient
-  faults, strategy fallback ``compiled -> seminaive -> naive`` for
+  faults, fallback from the requested strategy to ``naive`` for
   strategy-specific failures, and, when the caller opts in, a
   :class:`PartialResult` instead of a raise on budget exhaustion.
 * **Crash-safe journaling** (:mod:`~repro.resilience.journal`) -- a
@@ -36,7 +36,6 @@ The error taxonomy lives in :mod:`repro.errors`:
 """
 
 from repro.resilience.executor import (
-    LADDER,
     Outcome,
     PartialResult,
     ResilientExecutor,
@@ -63,7 +62,6 @@ __all__ = [
     "FaultSpec",
     "InjectingRecorder",
     "JOURNAL_FAULT_POINTS",
-    "LADDER",
     "Outcome",
     "PartialResult",
     "QuarantinedRecord",

@@ -6,14 +6,12 @@ with a three-step failure policy:
 
 1. **Retry** transient faults (:func:`repro.errors.is_transient`) on the
    same ladder rung, with capped exponential backoff.
-2. **Fall back** one rung when a rung fails in a strategy-specific way
-   (:class:`~repro.errors.StrategyFailureError`) or keeps failing after
-   all retries: ``vectorized -> compiled -> seminaive -> naive``.  The
-   lower rungs are slower but simpler -- fewer moving parts (no column
-   batches, then no compiled plans, then no delta bookkeeping), so they
-   dodge whole classes of failures, the
-   module-level evaluation-choice idea from CORAL read as a fallback
-   ladder.
+2. **Fall back** to ``naive`` when the requested strategy fails in a
+   strategy-specific way (:class:`~repro.errors.StrategyFailureError`)
+   or keeps failing after all retries.  The ladder has two rungs: the
+   ``vectorized``, ``compiled`` and ``seminaive`` strategies share one
+   semi-naive driver, so a fault in it hits all three, and ``naive`` --
+   the differential oracle -- is the one strategy independent of it.
 3. **Degrade** on budget exhaustion: with ``allow_partial=True`` the
    caller gets a :class:`PartialResult` -- the answers derived before the
    abort, ``complete=False``, and the rung that served it -- instead of a
@@ -43,13 +41,8 @@ from repro.errors import (
     StrategyFailureError,
     is_transient,
 )
+from repro.multilog.reduction import ReducedProgram
 from repro.obs.budget import EvaluationBudget
-
-#: The full ladder, fastest first.  An executor's ladder may start lower
-#: (the requested strategy) but always descends in this order.  The
-#: ``vectorized`` rung only serves sessions on the columnar backend; row
-#: sessions enter at ``compiled`` (see :meth:`ResilientExecutor.ask`).
-LADDER = ("vectorized", "compiled", "seminaive", "naive")
 
 
 @dataclass(frozen=True)
@@ -122,32 +115,25 @@ class ResilientExecutor:
     """
 
     def __init__(self, retry: RetryPolicy | None = None,
-                 ladder: tuple[str, ...] = LADDER,
                  allow_partial: bool = False,
                  budget: EvaluationBudget | None = None,
                  sleep=time.sleep):
         self.retry = retry if retry is not None else RetryPolicy()
-        self.ladder = tuple(ladder)
         self.allow_partial = allow_partial
         self.budget = budget
         self.last_outcome = Outcome()
         self._sleep = sleep
 
     # ------------------------------------------------------------------
-    def _rungs_from(self, strategy: str) -> tuple[str, ...]:
-        """The ladder from ``strategy`` down (or just it, if not on it)."""
-        if strategy in self.ladder:
-            return self.ladder[self.ladder.index(strategy):]
-        return (strategy,)
-
-    def _run_rungs(self, rungs: tuple[str, ...], attempt_rung, outcome: Outcome):
-        """Shared retry/fallback driver.
+    def _run_rungs(self, requested: str, attempt_rung, outcome: Outcome):
+        """Shared retry/fallback driver over ``requested``, then ``naive``.
 
         ``attempt_rung(rung)`` performs one attempt; transient failures
         retry the rung, strategy failures and exhausted retries descend,
         everything else propagates.  Returns the first success.
         """
         last_error: BaseException | None = None
+        rungs = (requested,) if requested == "naive" else (requested, "naive")
         for index, rung in enumerate(rungs):
             outcome.rung = rung
             if index:
@@ -182,8 +168,8 @@ class ResilientExecutor:
         """Resilient :func:`repro.datalog.engine.evaluate`.
 
         Returns the least model :class:`Database` on success (possibly
-        from a lower rung), a :class:`PartialResult` on budget exhaustion
-        when ``allow_partial`` is set, and raises otherwise.
+        from the ``naive`` rung), a :class:`PartialResult` on budget
+        exhaustion when ``allow_partial`` is set, and raises otherwise.
         """
         outcome = Outcome(requested=strategy)
         self.last_outcome = outcome
@@ -194,7 +180,7 @@ class ResilientExecutor:
                                     budget=effective_budget, **kwargs)
 
         try:
-            result = self._run_rungs(self._rungs_from(strategy), attempt_rung, outcome)
+            result = self._run_rungs(strategy, attempt_rung, outcome)
         except BudgetExceededError as exc:
             if not self.allow_partial:
                 raise
@@ -217,55 +203,46 @@ class ResilientExecutor:
             ) -> list[dict[str, object]] | PartialResult:
         """Resilient ``MultiLogSession.ask``.
 
-        Transient faults retry the ask; a strategy-specific failure on the
-        reduction path re-evaluates the reduced program one ladder rung
-        down and serves the ask from that model; budget exhaustion with
+        Transient faults retry the ask; a strategy-specific failure
+        re-runs it on the ``naive`` rung, an ask through the reduction
+        engine whose least model is built naively inside the ask (the
+        operational engine has no strategy knob; the reduction answers
+        the same queries -- Theorem 6.1); budget exhaustion with
         ``allow_partial`` salvages the answers derivable from the partial
         model and returns them in a :class:`PartialResult`.  Every rung
-        runs under the session's budget; the executor's own ``budget``
-        only bounds :meth:`evaluate`.  Either degradation is surfaced
-        through ``session.last_stats().degraded`` and a ``degraded``
-        attribute on the ask's root span.
+        is an ordinary ask of the session, under its budget, fault plan
+        and trace; the executor's own ``budget`` only bounds
+        :meth:`evaluate`.  Either degradation is surfaced through
+        ``session.last_stats().degraded`` and a ``degraded`` attribute
+        on the ask's root span.
         """
-        # The session's native rung: a columnar session serves its asks
-        # from the vectorized model, a row session from the compiled one.
-        native = ("vectorized"
-                  if getattr(session, "backend", "dict") == "columnar"
-                  else "compiled")
+        native = ReducedProgram.native_strategy(session.backend)
         outcome = Outcome(requested=native)
         self.last_outcome = outcome
-        rungs = self._rungs_from(native) if self.ladder else (native,)
 
         def attempt_rung(rung: str) -> list[dict[str, object]]:
-            if rung == rungs[0]:
-                return session.ask(query, engine=engine)
-            # A lower rung: build a private least model with the simpler
-            # strategy, under the budget the first rung ran under, and
-            # serve the ask from it.  The shared model of the snapshot is
-            # never edited: sibling sessions may be reading it.  (The
-            # operational engine has no strategy knob; the reduction
-            # semantics answers the same queries -- Theorem 6.1.)
-            model = _engine_evaluate(session.reduced.program, strategy=rung,
-                                     budget=session.budget)
-            return session._ask_model(query, model)
+            if rung == native:
+                return session._ask_locked(query, engine)
+            return session._ask_locked(query, "reduction", rung=rung)
 
-        try:
-            answers = self._run_rungs(rungs, attempt_rung, outcome)
-        except BudgetExceededError as exc:
-            if not self.allow_partial:
+        with session._single_flight("ask"):
+            try:
+                answers = self._run_rungs(native, attempt_rung, outcome)
+            except BudgetExceededError as exc:
+                if not self.allow_partial:
+                    session._settle(outcome)
+                    raise
+                outcome.degraded = f"{outcome.rung}:budget-{exc.reason}"
+                salvaged = self._salvage_answers(session, query, exc)
                 session._settle(outcome)
-                raise
-            outcome.degraded = f"{outcome.rung}:budget-{exc.reason}"
-            salvaged = self._salvage_answers(session, query, exc)
+                return PartialResult(
+                    complete=False, rung=outcome.rung,
+                    reason=f"budget-{exc.reason}",
+                    answers=salvaged, attempts=outcome.attempts,
+                )
+            if outcome.rung != native:
+                outcome.degraded = f"{outcome.rung}:fallback"
             session._settle(outcome)
-            return PartialResult(
-                complete=False, rung=outcome.rung,
-                reason=f"budget-{exc.reason}",
-                answers=salvaged, attempts=outcome.attempts,
-            )
-        if outcome.rung != rungs[0]:
-            outcome.degraded = f"{outcome.rung}:fallback"
-        session._settle(outcome)
         return answers
 
     def _salvage_answers(self, session, query, exc: BudgetExceededError

@@ -1,7 +1,7 @@
 """Chaos differential suite (satellite): fault-injected vs fault-free.
 
 For ~50 generated workloads, inject one fault at every span point in
-turn, across all three Datalog strategies, and assert the resilient path
+turn, across all four Datalog strategies, and assert the resilient path
 either returns answers identical to the fault-free run or a correctly
 flagged :class:`~repro.resilience.PartialResult`.  Fault kinds are drawn
 from a seeded RNG (``CHAOS_SEED``, default 0) so a CI failure replays
@@ -24,7 +24,7 @@ import pytest
 from repro.datalog import evaluate, parse_program
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget, ObsContext, use
-from repro.resilience import LADDER, FaultPlan, PartialResult, ResilientExecutor
+from repro.resilience import FaultPlan, PartialResult, ResilientExecutor
 from repro.workloads.generator import random_datalog_program, random_multilog_database
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -48,6 +48,7 @@ SESSION_WORKLOADS = [
 #: given strategy never announces simply yields a fault-free run, which
 #: the differential assertion covers too.
 ENGINE_POINTS = ("evaluate", "stratify", "stratum[*]", "round[*]", "rule-fire")
+STRATEGIES = ("vectorized", "compiled", "seminaive", "naive")
 SESSION_POINTS = ("query", "tau-translate", "stratum[*]", "fixpoint")
 
 
@@ -56,10 +57,10 @@ def canon(answers):
 
 
 def fault_kinds(strategy):
-    # A persistent strategy failure on the lowest rung has nowhere to
-    # fall; only arm it where a rung below exists.
+    # A strategy failure on the naive rung has nowhere to fall; only arm
+    # it where the ladder has a rung below the requested one.
     kinds = ["transient", "corrupt"]
-    if strategy != LADDER[-1]:
+    if strategy != "naive":
         kinds.append("strategy")
     return kinds
 
@@ -76,7 +77,7 @@ def one_fault_plan(point, kind):
 @pytest.mark.parametrize("shape,n_nodes,seed", DATALOG_WORKLOADS)
 def test_datalog_chaos_differential(shape, n_nodes, seed):
     program = parse_program(random_datalog_program(n_nodes, shape, seed=seed))
-    for strategy in LADDER:
+    for strategy in STRATEGIES:
         baseline = evaluate(parse_program(
             random_datalog_program(n_nodes, shape, seed=seed)),
             strategy=strategy).rows("path")

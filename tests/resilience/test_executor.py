@@ -5,7 +5,9 @@ import pytest
 from repro.datalog import evaluate, parse_program
 from repro.errors import (
     BudgetExceededError,
+    DatalogError,
     FaultInjectedError,
+    StrategyFailureError,
     TransientFaultError,
     UnsafeRuleError,
 )
@@ -67,9 +69,9 @@ class TestRetry:
         with use(ObsContext(faults=plan)):
             with pytest.raises(TransientFaultError):
                 executor.evaluate(parse_program(PROGRAM))
-        # 2 attempts per rung (1 retry), 3 rungs.
-        assert executor.last_outcome.attempts == 6
-        assert executor.last_outcome.fallbacks == 2
+        # 2 attempts per rung (1 retry), 2 rungs: compiled, then naive.
+        assert executor.last_outcome.attempts == 4
+        assert executor.last_outcome.fallbacks == 1
 
     def test_backoff_is_capped_exponential(self):
         policy = RetryPolicy(max_retries=5, base_delay_s=0.1, max_delay_s=0.35)
@@ -104,7 +106,7 @@ class TestRetry:
 class TestLadder:
     def test_strategy_failure_falls_to_next_rung(self):
         plan = FaultPlan()
-        # rule-fire spans exist in compiled and seminaive, not naive.
+        # rule-fire spans exist in the shared semi-naive driver, not naive.
         plan.arm("rule-fire", error="strategy", times=None)
         executor = ResilientExecutor()
         with use(ObsContext(faults=plan)):
@@ -112,25 +114,47 @@ class TestLadder:
         assert db.rows("path") == baseline_rows()
         outcome = executor.last_outcome
         assert outcome.rung == "naive"
-        assert outcome.fallbacks == 2
+        assert outcome.fallbacks == 1
         assert outcome.degraded == "naive:fallback"
 
     def test_ladder_starts_at_the_requested_strategy(self):
+        def run(strategy, point):
+            plan = FaultPlan()
+            plan.arm(point, error="strategy", times=None)
+            executor = ResilientExecutor()
+            with use(ObsContext(faults=plan)):
+                try:
+                    executor.evaluate(parse_program(PROGRAM), strategy=strategy)
+                except StrategyFailureError:
+                    pass
+            outcome = executor.last_outcome
+            return outcome.requested, outcome.rung, outcome.attempts
+
+        # Any requested strategy but naive falls straight to naive.
+        assert run("seminaive", "rule-fire") == ("seminaive", "naive", 2)
+        assert run("vectorized", "rule-fire") == ("vectorized", "naive", 2)
+        # A naive request has one rung: a strategy failure has nowhere
+        # to fall.
+        assert run("naive", "stratum[*]") == ("naive", "naive", 1)
+        # An unknown strategy is a permanent error on its own rung.
         executor = ResilientExecutor()
-        assert executor._rungs_from("seminaive") == ("seminaive", "naive")
-        assert executor._rungs_from("naive") == ("naive",)
-        assert executor._rungs_from("topdown") == ("topdown",)
+        with pytest.raises(DatalogError):
+            executor.evaluate(parse_program(PROGRAM), strategy="topdown")
+        assert (executor.last_outcome.rung, executor.last_outcome.attempts) \
+            == ("topdown", 1)
 
     def test_exhausted_transient_retries_descend_the_ladder(self):
         plan = FaultPlan()
         # Heals after 4 firings: compiled rung (1 + 2 retries) fails, the
-        # seminaive rung's first attempt fails, its retry succeeds.
+        # naive rung's first attempt fails, its retry succeeds.
         plan.arm("stratum[*]", error="transient", times=4)
         executor = ResilientExecutor()
         with use(ObsContext(faults=plan)):
             db = executor.evaluate(parse_program(PROGRAM))
         assert db.rows("path") == baseline_rows()
-        assert executor.last_outcome.rung == "seminaive"
+        outcome = executor.last_outcome
+        assert (outcome.rung, outcome.attempts, outcome.retries) \
+            == ("naive", 5, 3)
 
 
 class TestPartial:
@@ -194,8 +218,8 @@ class TestAskResilience:
         executor = ResilientExecutor()
         answers = executor.ask(session, QUERY, engine="reduction")
         assert answers == expected
-        assert executor.last_outcome.rung == "seminaive"
-        assert session.last_stats().degraded == "seminaive:fallback"
+        assert executor.last_outcome.rung == "naive"
+        assert session.last_stats().degraded == "naive:fallback"
 
     def test_armed_session_faults_hit_plain_asks(self):
         session = MultiLogSession(MLOG, clearance="s")

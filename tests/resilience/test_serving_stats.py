@@ -59,9 +59,9 @@ class TestServingAttempt:
         session.arm_faults(plan)
         ResilientExecutor().ask(session, QUERY, engine="reduction")
         stats = session.last_stats()
-        assert stats.rung == "seminaive"
+        assert stats.rung == "naive"
         assert stats.fallbacks == 1
-        assert stats.degraded == "seminaive:fallback"
+        assert stats.degraded == "naive:fallback"
         assert "served by:" in stats.summary()
 
     def test_partial_budget_keeps_the_aborted_attempts_counters(self):

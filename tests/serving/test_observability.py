@@ -171,7 +171,9 @@ def _serial_counts(session, before):
     fired = sorted(((count - firings0.get(label, 0), label)
                     for label, count in after.rule_firings.items()
                     if count > firings0.get(label, 0)), reverse=True)
-    explain = [f"{count}x {label}" for count, label in fired[:5]]
+    # The slow log cuts labels past 96 characters.
+    explain = [f"{count}x {label if len(label) <= 96 else label[:93] + '...'}"
+               for count, label in fired[:5]]
     return rows, probes, "\n".join(explain + [f"rows={rows} probes={probes}"])
 
 
@@ -180,13 +182,18 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
     """The root span's rows/probes and the slow-log EXPLAIN sketch of one
     request are that ask's own counts: a plain ask twice (cold, then
     warm), and an overload-degraded ask whose native rung fails, served
-    from the seminaive fallback rung."""
+    from the naive fallback rung -- whose least-model build the request
+    counts too."""
+    from repro.datalog import evaluate
     from repro.multilog import MultiLogSession
+    from repro.obs import MetricsCollector, ObsContext, use
     from repro.resilience import ResilientExecutor
 
     def faulted():
         plan = FaultPlan()
-        plan.arm("stratum[*]", error="strategy", times=None)
+        # rule-fire opens only in the shared semi-naive driver: the
+        # native rung fails on every try, the naive rung never does.
+        plan.arm("rule-fire", error="strategy", times=None)
         return plan
 
     engine = "reduction" if degraded else "operational"
@@ -198,7 +205,7 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
         before = serial.last_stats()
         if degraded:
             ResilientExecutor(allow_partial=True).ask(serial, ASK, engine=engine)
-            assert serial.last_stats().degraded == "seminaive:fallback"
+            assert serial.last_stats().degraded == "naive:fallback"
         else:
             serial.ask(ASK, engine=engine)
         expected.append(_serial_counts(serial, before))
@@ -235,7 +242,49 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
         == [explain for _, _, explain in expected]
     served = [span.attrs.get("rung") for root in roots
               for span in root.find("query")]
-    assert served[-1] == ("seminaive" if degraded else None)
+    assert served[-1] == ("naive" if degraded else None)
+    if degraded:
+        build = MetricsCollector()
+        with use(ObsContext(metrics=build)):
+            evaluate(serial.reduced.program, strategy="naive")
+        [root] = roots
+        assert root.attrs["rows"] >= sum(build.rows_derived.values()) > 1
+        assert root.attrs["probes"] >= build.join_probes > 5
+
+
+def test_fallback_served_ask_is_flagged_degraded():
+    """An overload-degraded ask that the naive rung serves in full is a
+    complete answer, and still says it was degraded: on the response, on
+    the request's root span and in ``degraded_total``."""
+    sink = SpanList()
+
+    async def main():
+        server = await started(trace=True, trace_sink=sink, degrade_at=0.0,
+                               engine="reduction")
+        plan = FaultPlan()
+        plan.arm("rule-fire", error="strategy", times=None)
+
+        def setup(session, _orig=server.pool._on_create):
+            _orig(session)
+            session.arm_faults(plan)
+
+        server.pool._on_create = setup
+        try:
+            host, port = server.address
+            async with await ServingClient.connect(host, port, "s") as client:
+                response = await client.ask_full(ASK)
+        finally:
+            await server.stop()
+        return response, server.stats.degraded_total
+
+    response, degraded_total = run(main())
+    assert response["complete"] is True
+    assert response["degraded"] == "naive:fallback"
+    assert degraded_total == 1
+    [root] = [span for span in sink.spans if span.name == "request[ask]"]
+    assert root.attrs["degraded"] is True
+    query = root.find("query")[-1]  # the try that served it
+    assert (query.attrs["degraded"], query.attrs["rung"]) == (True, "naive")
 
 
 # -- trace propagation: HTTP shim ---------------------------------------
