@@ -1,12 +1,14 @@
 """Degraded serving never reports a partial answer as complete.
 
 With degrade forced on, every ask runs through the resilience layer
-under a budget, and asks with a tight deadline abort their fixpoint and
-salvage partial answers.  Sessions at one clearance share one least
-model per version, so a salvage that edited the shared model in place
-let a concurrent ask read it and answer ``complete: true`` from a
-partial model.  Every complete answer here must equal a serial
-session's answer at the version the response reports.
+under a budget, and asks with a tight deadline abort their fixpoint:
+the executor salvages partial answers, and the server answers
+``deadline`` once the deadline has passed.  Sessions at one clearance
+share one least model per version, so a salvage that edited the shared
+model in place let a concurrent ask read it and answer
+``complete: true`` from a partial model.  Every complete answer here
+must equal a serial session's answer at the version the response
+reports.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ async def one_op(client: ServingClient, index: int, round_no: int) -> dict:
         return {"kind": "assert", "clause": clause, **response}
     query = QUERIES[(index + round_no) % len(QUERIES)]
     payload = {"op": "ask", "query": query}
-    if index % 2:
+    tight = bool(index % 2)
+    if tight:
         payload["timeout_s"] = TIGHT_S
     response = await client.request(payload)
-    return {"kind": "ask", "query": query, **response}
+    return {"kind": "ask", "query": query, "tight": tight, **response}
 
 
 @pytest.mark.parametrize("backend", ["dict", "columnar"])
@@ -93,11 +96,15 @@ def test_degraded_asks_never_leak_partial_models(backend):
         events, server = asyncio.run(main())
     finally:
         sys.setswitchinterval(interval)
-    assert [e for e in events if not e.get("ok", True)] == []
-    asks = [e for e in events if e["kind"] == "ask"]
+    # The only errors: tight asks whose deadline passed.
+    assert [e for e in events if not e.get("ok", True)
+            and not (e.get("tight") and e["code"] == "deadline")] == []
+    asks = [e for e in events if e["kind"] == "ask" and e["ok"]]
     complete = [e for e in asks if e["complete"]]
     assert complete, "no ask completed"
     assert server.stats.degraded_total == len(asks) - len(complete)
+    assert server.stats.deadline_total == sum(
+        1 for e in events if not e.get("ok", True))
 
     serial = MultiLogSession(SOURCE, clearance="s", backend=backend)
     at_version: dict[int, list[dict]] = {}

@@ -115,6 +115,29 @@ def test_request_deadline_trips_with_the_deadline_code():
     run(main())
 
 
+def test_degraded_ask_past_its_deadline_answers_deadline_not_a_partial():
+    # A degraded ask folds the deadline into the shed budget; the run it
+    # cuts short is still the client's deadline, not a budget partial.
+    async def main():
+        server = await started(degrade_at=0.0)
+        try:
+            host, port = server.address
+            async with await ServingClient.connect(host, port, "s") as client:
+                response = await client.request(
+                    {"op": "ask", "query": ASK, "timeout_s": 1e-9})
+                assert response["ok"] is False
+                assert response["code"] == "deadline"
+                # Without a deadline the same degraded ask completes.
+                full = await client.ask_full(ASK)
+                assert full["complete"] is True
+            assert server.stats.deadline_total == 1
+            assert server.stats.degraded_total == 0
+        finally:
+            await server.stop()
+
+    run(main())
+
+
 def test_hello_timeout_is_the_connection_default_and_requests_override():
     async def main():
         server = await started()
