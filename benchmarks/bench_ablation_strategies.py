@@ -3,9 +3,12 @@
 CORAL performed magic rewriting and semi-naive iteration internally; this
 bench reconstructs the design space on a bound transitive-closure query:
 
-* naive vs semi-naive bottom-up (delta iteration pays off with depth);
+* naive vs semi-naive bottom-up (delta iteration pays off with depth):
+  the naive oracle against the backend's native semi-naive plan;
 * full bottom-up vs predicate-level demand (top-down) vs tuple-level
-  demand (magic sets) when only one source node is asked for.
+  demand (magic sets) when only one source node is asked for;
+* the written join order (naive) vs the greedy most-bound-first order
+  the native plans always use.
 """
 
 import pytest
@@ -39,17 +42,17 @@ def test_ablation_naive(benchmark, chain_text, expected):
     goal = parse_atom(f"path(n{N_NODES - 5}, X)")
 
     def run():
-        return answer_rows(evaluate(program, "naive"), goal)
+        return answer_rows(evaluate(program, naive=True), goal)
 
     assert benchmark(run) == expected
 
 
-def test_ablation_seminaive(benchmark, chain_text, expected):
+def test_ablation_native(benchmark, chain_text, expected):
     program = parse_program(chain_text)
     goal = parse_atom(f"path(n{N_NODES - 5}, X)")
 
     def run():
-        return answer_rows(evaluate(program, "seminaive"), goal)
+        return answer_rows(evaluate(program), goal)
 
     assert benchmark(run) == expected
 
@@ -90,23 +93,24 @@ def test_magic_derives_fewer_facts(chain_text):
 
 def test_ablation_join_order_pessimal(benchmark):
     """A triangle rule written worst-first (three cross-producted scans
-    before any join): greedy most-bound-first ordering turns the cubic
-    enumeration into index-driven joins."""
+    before any join): the native plan's greedy most-bound-first ordering
+    turns the cubic enumeration into index-driven joins."""
     text = _triangle_workload()
 
     def run():
-        return evaluate(parse_program(text), optimize_joins=True).rows("triple")
+        return evaluate(parse_program(text)).rows("triple")
 
     rows = benchmark(run)
     assert len(rows) == 58
 
 
 def test_ablation_join_order_baseline(benchmark):
-    """The same pessimal rule evaluated verbatim, for comparison."""
+    """The same pessimal rule evaluated verbatim by the naive oracle,
+    for comparison."""
     text = _triangle_workload()
 
     def run():
-        return evaluate(parse_program(text)).rows("triple")
+        return evaluate(parse_program(text), naive=True).rows("triple")
 
     rows = benchmark(run)
     assert len(rows) == 58

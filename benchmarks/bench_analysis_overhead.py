@@ -59,7 +59,7 @@ def test_emit_analysis_overhead():
     def run_compiled(verify):
         previous = set_plan_verification(verify)
         try:
-            return evaluate(parse_program(program_text), "compiled")
+            return evaluate(parse_program(program_text), backend="dict")
         finally:
             set_plan_verification(previous)
 

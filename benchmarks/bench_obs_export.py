@@ -59,11 +59,11 @@ def test_emit_export_overhead(tmp_path):
 
     def run_traced():
         with use(observe()):
-            return evaluate(parse_program(program_text), "compiled")
+            return evaluate(parse_program(program_text), backend="dict")
 
     def run_exporting():
         with use(observe(histograms=histograms, sink=sink)):
-            return evaluate(parse_program(program_text), "compiled")
+            return evaluate(parse_program(program_text), backend="dict")
 
     # Warm caches so the comparison measures steady-state evaluation.
     run_traced()

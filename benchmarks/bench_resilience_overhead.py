@@ -52,10 +52,10 @@ def test_emit_resilience_overhead():
     executor = ResilientExecutor()
 
     def run_direct():
-        return evaluate(parse_program(program_text), "compiled")
+        return evaluate(parse_program(program_text), backend="dict")
 
     def run_wrapped():
-        return executor.evaluate(parse_program(program_text), "compiled")
+        return executor.evaluate(parse_program(program_text), backend="dict")
 
     # Warm caches so the comparison measures steady-state evaluation.
     run_direct()

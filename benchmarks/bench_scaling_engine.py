@@ -2,7 +2,7 @@
 closure, and the MultiLog pipeline end to end.
 
 Besides the pytest-benchmark timings, this module emits
-``BENCH_engine.json`` at the repository root: compiled-vs-interpreted
+``BENCH_engine.json`` at the repository root: native-vs-naive
 wall-clock numbers for every transitive-closure case, so the perf
 trajectory is tracked from PR 1 onward (see docs/PERFORMANCE.md).
 """
@@ -67,23 +67,26 @@ def _full_model(db):
 
 
 def test_emit_bench_engine_json():
-    """Record the compiled-vs-interpreted trajectory for every TC case.
+    """Record the native-vs-naive trajectory for every TC case.
 
-    ``interpreted_s`` is the seed engine (semi-naive interpreter);
-    ``compiled_s`` is the join-plan path that is now the default.
+    ``naive_s`` is the naive oracle; ``compiled_s`` is the native plan
+    of the ``dict`` backend, the default.
     """
     cases = []
     for shape, seed in (("chain", 0), ("random", 3)):
         for n_nodes in CHAIN_SIZES:
             text = random_datalog_program(n_nodes, shape, seed=seed)
-            interpreted = _best_of(lambda: evaluate(parse_program(text), "seminaive"))
-            compiled = _best_of(lambda: evaluate(parse_program(text), "compiled"))
+            # One run: naive is an order of magnitude off the pace, so
+            # best-of-3 would only triple the bench's wall time.
+            naive = _best_of(lambda: evaluate(parse_program(text), naive=True),
+                             repeat=1)
+            compiled = _best_of(lambda: evaluate(parse_program(text), backend="dict"))
             cases.append({
                 "workload": f"{shape}_closure",
                 "n_nodes": n_nodes,
-                "interpreted_s": round(interpreted, 6),
+                "naive_s": round(naive, 6),
                 "compiled_s": round(compiled, 6),
-                "speedup": round(interpreted / compiled, 2),
+                "speedup": round(naive / compiled, 2),
             })
     _write_payload(cases=cases)
     assert BENCH_JSON.exists()
@@ -100,34 +103,34 @@ def test_emit_scale_smoke():
     """
     text = random_datalog_program(80, "chain", seed=0)
     program = parse_program(text)
-    row_db = evaluate(program, "compiled")
-    col_db = evaluate(program, "vectorized")
+    row_db = evaluate(program, backend="dict")
+    col_db = evaluate(program, backend="columnar")
     assert _full_model(col_db) == _full_model(row_db)
     _write_payload(scale_smoke={
         "workload": "chain_closure",
         "n_nodes": 80,
         "n_facts": len(row_db),
-        "compiled_s": round(_best_of(lambda: evaluate(program, "compiled")), 6),
-        "vectorized_s": round(_best_of(lambda: evaluate(program, "vectorized")), 6),
+        "compiled_s": round(_best_of(lambda: evaluate(program, backend="dict")), 6),
+        "vectorized_s": round(_best_of(lambda: evaluate(program, backend="columnar")), 6),
     })
 
 
 @pytest.mark.skipif(not SCALING_FULL,
                     reason="set SCALING_FULL=1 for the 10^5-10^6-fact ablation")
 def test_emit_scale_ablation():
-    """The headline ablation: interpreted / compiled / vectorized at
+    """The headline ablation: naive / compiled / vectorized at
     10^5-10^6 derived facts, answers cross-checked between backends.
 
-    The interpreted engine only runs at the smallest size (it is already
-    ~100x off the pace there; larger sizes would take hours for no new
+    The naive oracle only runs at the smallest size (it is already far
+    off the pace there; larger sizes would take hours for no new
     information).  The acceptance bar: vectorized at least 3x faster
     than compiled at the largest size.
     """
     cases = []
     for n_nodes in SCALE_SIZES:
         program = parse_program(random_datalog_program(n_nodes, "chain", seed=0))
-        row_db = evaluate(program, "compiled")
-        col_db = evaluate(program, "vectorized")
+        row_db = evaluate(program, backend="dict")
+        col_db = evaluate(program, backend="columnar")
         assert _full_model(col_db) == _full_model(row_db), n_nodes
         case = {
             "workload": "chain_closure",
@@ -135,12 +138,12 @@ def test_emit_scale_ablation():
             "n_facts": len(row_db),
         }
         if n_nodes == SCALE_SIZES[0]:
-            case["interpreted_s"] = round(
-                _best_of(lambda: evaluate(program, "seminaive"), repeat=1), 6)
+            case["naive_s"] = round(
+                _best_of(lambda: evaluate(program, naive=True), repeat=1), 6)
         case["compiled_s"] = round(
-            _best_of(lambda: evaluate(program, "compiled"), repeat=2), 6)
+            _best_of(lambda: evaluate(program, backend="dict"), repeat=2), 6)
         case["vectorized_s"] = round(
-            _best_of(lambda: evaluate(program, "vectorized"), repeat=2), 6)
+            _best_of(lambda: evaluate(program, backend="columnar"), repeat=2), 6)
         case["speedup_vs_compiled"] = round(
             case["compiled_s"] / case["vectorized_s"], 2)
         cases.append(case)

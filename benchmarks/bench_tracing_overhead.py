@@ -50,11 +50,11 @@ def test_emit_tracing_overhead():
 
     def run_untraced():
         # Default ambient context: NULL_RECORDER / NULL_METRICS, no meter.
-        return evaluate(parse_program(program_text), "compiled")
+        return evaluate(parse_program(program_text), backend="dict")
 
     def run_traced():
         with use(observe()):
-            return evaluate(parse_program(program_text), "compiled")
+            return evaluate(parse_program(program_text), backend="dict")
 
     # Warm caches (parser tables, compiled-plan memo keying, etc.) so the
     # comparison measures steady-state evaluation, not first-call setup.

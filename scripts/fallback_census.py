@@ -11,7 +11,7 @@ or raised).  It then runs, in this process:
 * ``scripts/serving_chaos.py --seed <seed>``.
 
 and prints one table per run.  The counts say which rungs of the
-requested-strategy -> ``naive`` ladder the chaos runs exercise.
+native-plan -> ``naive`` ladder the chaos runs exercise.
 
     PYTHONPATH=src python scripts/fallback_census.py --seed 0
 """

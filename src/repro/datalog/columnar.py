@@ -13,9 +13,9 @@ Two API layers:
 
 * the row-level :class:`~repro.datalog.storage.StorageBackend` contract
   (``rows``/``bucket``/``candidates``/``contains``/``add``...), speaking
-  *decoded* values so the naive, semi-naive and compiled strategies run
+  *decoded* values so the naive oracle and the answer rules run
   unchanged against this store;
-* a batch layer for the ``vectorized`` strategy
+* a batch layer for the native ``vectorized`` plans
   (:mod:`repro.datalog.plan`'s :class:`~repro.datalog.plan.BatchRule`):
   ``batch_index`` builds (and incrementally extends) a hash table from
   coded key columns to projected keep-tuples, ``insert_coded``

@@ -5,39 +5,35 @@ CORAL stand-in.  Programs are stratified; each stratum is evaluated to a
 least fixpoint before the next begins, so negation always consults a
 fully computed lower stratum.
 
-Four strategies, one semi-naive driver:
+Two evaluations, and the storage backend picks the semi-naive one:
 
-* ``naive`` -- re-derive everything each round; the textbook baseline,
-  kept only as the oracle of the differential tests and the ablation
-  bench.
-* ``seminaive``, ``compiled`` (the default) and ``vectorized`` -- classic
-  delta iteration by :func:`_evaluate_stratum`: a recursive rule only
-  refires when one of its recursive body literals matches a fact derived
-  in the previous round.  They differ only in the plan kind the driver
-  fires and in how a round's fresh rows are kept:
+* the **native** plan (the default) -- classic delta iteration by
+  :func:`_evaluate_stratum`: a recursive rule only refires when one of
+  its recursive body literals matches a fact derived in the previous
+  round.  Rule bodies run in the greedy join order, and the backend
+  decides the plan kind (:data:`_PLANS`):
 
-  - ``seminaive`` runs each rule body through the :func:`_match_body`
-    interpreter;
-  - ``compiled`` runs :class:`~repro.datalog.plan.CompiledRule` join
-    plans: each rule body is compiled once per stratum into a
+  - ``dict`` runs ``compiled`` :class:`~repro.datalog.plan.CompiledRule`
+    join plans: each rule body is compiled once per stratum into a
     nested-loop function probing composite indexes, with
-    delta-specialized variants for the refiring step;
-  - both keep fresh rows in a row :class:`Database`;
-  - ``vectorized`` runs :class:`~repro.datalog.plan.BatchRule` batch
-    pipelines against the columnar backend: each round probes the whole
-    delta batch through build-side hash tables in a handful of
-    comprehensions over interned codes, and fresh rows are coded batches
-    per ``(predicate, arity)``.
+    delta-specialized variants for the refiring step, and a round's
+    fresh rows are kept in a row :class:`Database`;
+  - ``columnar`` runs ``vectorized``
+    :class:`~repro.datalog.plan.BatchRule` batch pipelines: each round
+    probes the whole delta batch through build-side hash tables in a
+    handful of comprehensions over interned codes, and fresh rows are
+    coded batches per ``(predicate, arity)``.
 
-The first three run unchanged on either storage backend (they only use
-the row-level :class:`~repro.datalog.storage.StorageBackend` contract);
-``vectorized`` requires -- and, when no backend is forced, implies --
-the columnar backend.
+* ``naive=True`` -- re-derive everything each round through the
+  :func:`_match_body` interpreter, in the written body order: the
+  textbook baseline, kept as the oracle of the differential tests and
+  as the resilience ladder's fallback rung.  It runs on either backend
+  through the row-level :class:`~repro.datalog.storage.StorageBackend`
+  contract.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -67,14 +63,9 @@ def _match_body(
     body: tuple[Literal, ...],
     db: Database,
     subst: Substitution,
-    delta_requirement: tuple[int, Database] | None = None,
     index: int = 0,
 ) -> Iterable[Substitution]:
-    """All substitutions satisfying ``body[index:]`` against ``db``.
-
-    ``delta_requirement = (position, delta_db)`` forces the literal at
-    ``position`` to match inside ``delta_db`` (semi-naive refiring).
-    """
+    """All substitutions satisfying ``body[index:]`` against ``db``."""
     if index == len(body):
         yield subst
         return
@@ -82,7 +73,7 @@ def _match_body(
     atom = literal.atom
     if atom.is_builtin:
         if evaluate_builtin(atom, subst):
-            yield from _match_body(body, db, subst, delta_requirement, index + 1)
+            yield from _match_body(body, db, subst, index + 1)
         return
     if not literal.positive:
         # Safety guarantees the atom is ground here.
@@ -90,18 +81,15 @@ def _match_body(
         if not grounded.is_ground():
             raise DatalogError(f"negated literal {grounded!r} not ground at evaluation time")
         if not db.contains(grounded.predicate, grounded.ground_tuple()):
-            yield from _match_body(body, db, subst, delta_requirement, index + 1)
+            yield from _match_body(body, db, subst, index + 1)
         return
-    source: Database = db
-    if delta_requirement is not None and delta_requirement[0] == index:
-        source = delta_requirement[1]
     # No defensive copy: _fire_rule drains this generator into a list
     # before any caller mutates the database, so the live bucket/set from
     # candidates() is never resized under us.
-    for row in source.candidates(atom, subst):
+    for row in db.candidates(atom, subst):
         extended = match_atom(atom, row, subst)
         if extended is not None:
-            yield from _match_body(body, db, extended, delta_requirement, index + 1)
+            yield from _match_body(body, db, extended, index + 1)
 
 
 def reorder_body(body: tuple[Literal, ...], rule: Rule | None = None) -> tuple[Literal, ...]:
@@ -186,11 +174,10 @@ def greedy_join_order(body: tuple[Literal, ...]) -> tuple[Literal, ...]:
     return tuple(ordered) + tuple(others)
 
 
-def _fire_rule(rule: Rule, db: Database,
-               delta_requirement: tuple[int, Database] | None = None) -> list[Row]:
+def _fire_rule(rule: Rule, db: Database) -> list[Row]:
     """All head rows derivable by one rule in the current state."""
     derived: list[Row] = []
-    for subst in _match_body(rule.body, db, {}, delta_requirement):
+    for subst in _match_body(rule.body, db, {}):
         head = apply_to_atom(rule.head, subst)
         if not head.is_ground():
             raise DatalogError(f"derived non-ground head {head!r}; rule is unsafe")
@@ -198,34 +185,9 @@ def _fire_rule(rule: Rule, db: Database,
     return derived
 
 
-class _InterpretedRule:
-    """The ``seminaive`` plan: a rule run by the :func:`_match_body`
-    interpreter, shaped like :class:`~repro.datalog.plan.CompiledRule`
-    (``fire(db)`` plus one ``(predicate, fire(db, delta))`` variant per
-    recursive body literal)."""
-
-    __slots__ = ("rule", "head_predicate", "delta_variants")
-
-    def __init__(self, rule: Rule, stratum_predicates: set[str]):
-        self.rule = rule
-        self.head_predicate = rule.head.predicate
-        self.delta_variants = tuple(
-            (literal.predicate, functools.partial(self._fire_delta, position))
-            for position, literal in enumerate(rule.body)
-            if literal.positive and not literal.atom.is_builtin
-            and literal.predicate in stratum_predicates)
-
-    def fire(self, db: Database) -> list[Row]:
-        return _fire_rule(self.rule, db)
-
-    def _fire_delta(self, position: int, db: Database,
-                    delta: Database) -> list[Row]:
-        return _fire_rule(self.rule, db, (position, delta))
-
-
 class _RowFrontier:
-    """A round's fresh rows as a row :class:`Database` (interpreted and
-    compiled plans): each derived row is stored with ``db.add``."""
+    """A round's fresh rows as a row :class:`Database` (compiled plans):
+    each derived row is stored with ``db.add``."""
 
     __slots__ = ("fresh",)
 
@@ -333,23 +295,32 @@ class Increment:
     reason: str = ""
 
 
-#: semi-naive strategy -> (plan compiler, frontier type).  Every plan has
-#: ``rule``, ``head_predicate``, ``fire(db)`` and ``delta_variants``, whose
-#: entries end in ``fire(db, delta)`` after the frontier's lookup key.
-_PLAN_KINDS = {
-    "seminaive": (_InterpretedRule, _RowFrontier),
-    "compiled": (compile_rule, _RowFrontier),
-    "vectorized": (compile_batch_rule, _CodedFrontier),
+#: storage backend -> (plan label, plan compiler, frontier type) of its
+#: native semi-naive plan.  Every plan has ``rule``, ``head_predicate``,
+#: ``fire(db)`` and ``delta_variants``, whose entries end in
+#: ``fire(db, delta)`` after the frontier's lookup key.
+_PLANS = {
+    "dict": ("compiled", compile_rule, _RowFrontier),
+    "columnar": ("vectorized", compile_batch_rule, _CodedFrontier),
 }
 
 
+def native_plan(backend: str | None = None) -> str:
+    """The label of the semi-naive plan ``backend`` evaluates with
+    (``compiled`` or ``vectorized``; ``None`` resolves as :func:`evaluate`
+    does)."""
+    return _PLANS[resolve_backend(backend)][0]
+
+
 def _stratum_rules(program: Program, stratum_predicates: set[str],
-                   optimize: bool = False) -> list[Rule]:
+                   naive: bool = False) -> list[Rule]:
+    """The stratum's rules with their bodies ordered for evaluation: the
+    greedy join order, or the written order for ``naive``."""
     rules = []
     for r in program.rules:
         if r.head.predicate not in stratum_predicates:
             continue
-        body = greedy_join_order(r.body) if optimize else r.body
+        body = r.body if naive else greedy_join_order(r.body)
         rules.append(Rule(r.head, reorder_body(body, r)))
     return rules
 
@@ -368,11 +339,11 @@ def _reads(rule: Rule, predicates: set[str]) -> bool:
                and literal.predicate in predicates for literal in rule.body)
 
 
-def _evaluate_stratum(strategy: str, rules: list[Rule], db,
+def _evaluate_stratum(rules: list[Rule], db,
                       stratum_predicates: set[str],
                       recorder, metrics, meter, scope: str,
                       seed=None) -> None:
-    """Semi-naive iteration, the one driver behind every plan kind.
+    """Semi-naive iteration, the one driver behind both plan kinds.
 
     Round 0 fires every rule once against the current database; each
     later round refires only the recursive rules, once per recursive
@@ -386,7 +357,7 @@ def _evaluate_stratum(strategy: str, rules: list[Rule], db,
     fresh row joins the seed, so later strata see all the rows gained
     below them.
     """
-    compile_plan, frontier = _PLAN_KINDS[strategy]
+    _label, compile_plan, frontier = _PLANS[db.backend]
     if seed is None:
         plans = [compile_plan(rule, stratum_predicates) for rule in rules]
     else:
@@ -476,8 +447,8 @@ def _account(metrics, db, before: tuple[int, ...]) -> None:
     metrics.add_batch_ops(batch_probes, builds, dedup)
 
 
-def _run_strata(program: Program, assignment: dict[str, int], strategy: str,
-                optimize: bool, db, seed, recorder, metrics, meter) -> str | None:
+def _run_strata(program: Program, assignment: dict[str, int], naive: bool,
+                db, seed, recorder, metrics, meter) -> str | None:
     """Evaluate every stratum of ``program`` into ``db``, lowest first.
 
     With a ``seed`` (an insert-only evaluation, see :func:`evaluate`)
@@ -491,7 +462,7 @@ def _run_strata(program: Program, assignment: dict[str, int], strategy: str,
     try:
         for level in range(max(assignment.values(), default=0) + 1):
             stratum_predicates = {p for p, s in assignment.items() if s == level}
-            rules = _stratum_rules(program, stratum_predicates, optimize)
+            rules = _stratum_rules(program, stratum_predicates, naive)
             if not rules:
                 continue
             if seed is not None:
@@ -504,11 +475,11 @@ def _run_strata(program: Program, assignment: dict[str, int], strategy: str,
                     break
             scope = f"stratum[{level}]"
             with recorder.span(scope, rules=len(rules)) as span:
-                if strategy == "naive":
+                if naive:
                     _evaluate_stratum_naive(rules, db, recorder, metrics,
                                             meter, scope)
                 else:
-                    _evaluate_stratum(strategy, rules, db, stratum_predicates,
+                    _evaluate_stratum(rules, db, stratum_predicates,
                                       recorder, metrics, meter, scope, seed)
                 span.set(facts=len(db))
     except BudgetExceededError as exc:
@@ -525,25 +496,19 @@ def _run_strata(program: Program, assignment: dict[str, int], strategy: str,
     return negated
 
 
-def evaluate(program: Program, strategy: str = "compiled",
-             optimize_joins: bool = False,
+def evaluate(program: Program, *, naive: bool = False,
              budget: EvaluationBudget | None = None,
              analyze: bool = False,
              backend: str | None = None,
              increment: Increment | None = None):
     """The stratified least model of ``program`` as a fact store.
 
-    ``optimize_joins`` reorders rule bodies most-bound-first before
-    evaluation (see :func:`greedy_join_order`); answers are identical,
-    only the join work changes -- ``bench_ablation_strategies`` measures
-    the effect.  The ``compiled`` and ``vectorized`` strategies always
-    apply the greedy order, since literal order is part of the plan.
-
     ``backend`` picks the storage backend (explicit argument >
-    ``MULTILOG_BACKEND`` env var > ``dict``); answers are identical
-    across backends.  The ``vectorized`` strategy requires the columnar
-    backend and selects it when none is forced; pairing it with an
-    explicit ``dict`` raises :class:`~repro.errors.DatalogError`.
+    ``MULTILOG_BACKEND`` env var > ``dict``), and the backend picks the
+    semi-naive plan: ``compiled`` row plans on ``dict``, ``vectorized``
+    batch plans on ``columnar`` (:func:`native_plan`).  ``naive=True``
+    runs the naive oracle instead.  Answers are identical either way;
+    the ``evaluate`` span's ``strategy`` attribute names the plan run.
 
     ``increment`` makes the evaluation insert-only (the delta half of
     counting/DRed view maintenance): the predecessor's model is copied,
@@ -553,8 +518,8 @@ def evaluate(program: Program, strategy: str = "compiled",
     stratified program is monotone in its grown inputs then -- so the
     check runs per stratum, and a failing one recomputes the whole model
     from scratch.  The ``evaluate`` span records ``incremental`` and,
-    when a predecessor was not used, its ``reason``.  The ``naive``
-    strategy, the differential oracle, always starts from scratch.
+    when a predecessor was not used, its ``reason``.  The naive oracle
+    always starts from scratch.
 
     Observability: spans, per-rule firing counts and join-probe totals
     are reported into the ambient :class:`repro.obs.ObsContext` (no-ops
@@ -569,14 +534,8 @@ def evaluate(program: Program, strategy: str = "compiled",
     error-severity finding -- unlike the default fail-fast path, which
     stops at the first unsafe rule or stratification failure.
     """
-    if strategy not in ("naive", "seminaive", "compiled", "vectorized"):
-        raise DatalogError(f"unknown evaluation strategy {strategy!r}")
-    if strategy == "vectorized":
-        if backend is not None and resolve_backend(backend) != "columnar":
-            raise DatalogError(
-                "the vectorized strategy requires the columnar backend; "
-                f"got backend={backend!r}")
-        backend = "columnar"
+    backend = resolve_backend(backend)
+    label = "naive" if naive else _PLANS[backend][0]
     ctx = _current_obs()
     recorder, metrics = ctx.recorder, ctx.metrics
     meter = BudgetMeter(budget) if budget is not None else ctx.meter
@@ -587,25 +546,23 @@ def evaluate(program: Program, strategy: str = "compiled",
             raise DatalogError(
                 "static analysis rejected the program:\n" + report.render_text())
     program.check_safety()
-    optimize = optimize_joins or strategy in ("compiled", "vectorized")
-    with recorder.span("evaluate", strategy=strategy) as evaluate_span:
+    with recorder.span("evaluate", strategy=label) as evaluate_span:
         with recorder.span("stratify") as span:
             assignment = stratify(program)
             span.set(strata=max(assignment.values(), default=0) + 1)
         reason = increment.reason if increment is not None else ""
         db = None
-        if (increment is not None and increment.model is not None
-                and strategy != "naive"):
-            if increment.model.backend != resolve_backend(backend):
+        if increment is not None and increment.model is not None and not naive:
+            if increment.model.backend != backend:
                 raise DatalogError(
                     f"cannot extend a {increment.model.backend} model on the "
-                    f"{resolve_backend(backend)} backend")
+                    f"{backend} backend")
             db = increment.model.copy()
-            seed = _PLAN_KINDS[strategy][1]()
+            seed = _PLANS[backend][2]()
             for predicate, rows in _rows_by_predicate(increment.facts).items():
                 seed.load(db, predicate, rows)
-            negated = _run_strata(program, assignment, strategy, optimize, db,
-                                  seed, recorder, metrics, meter)
+            negated = _run_strata(program, assignment, naive, db, seed,
+                                  recorder, metrics, meter)
             if negated is not None:
                 reason = f"negation:{negated}"
                 db = None
@@ -615,7 +572,7 @@ def evaluate(program: Program, strategy: str = "compiled",
             for predicate, rows in _rows_by_predicate(program.facts).items():
                 db.add_facts(predicate, rows)
             if program.rules:
-                _run_strata(program, assignment, strategy, optimize, db, None,
+                _run_strata(program, assignment, naive, db, None,
                             recorder, metrics, meter)
         evaluate_span.set(facts=len(db), incremental=incremental)
         if reason:
@@ -663,9 +620,9 @@ def evaluate_goal_rules(db: Database, rules: Iterable[Rule]) -> dict[str, set[Ro
     return derived
 
 
-def query(program: Program, goal: Atom, strategy: str = "compiled") -> list[Substitution]:
+def query(program: Program, goal: Atom) -> list[Substitution]:
     """Answer substitutions for ``goal`` against the least model."""
-    db = evaluate(program, strategy)
+    db = evaluate(program)
     return query_database(db, goal)
 
 

@@ -1,22 +1,23 @@
 """The storage-backend seam: protocol, registry and factory.
 
 The engine evaluates against anything satisfying :class:`StorageBackend`
--- the row-level contract every strategy (naive, semi-naive, compiled)
-programs against.  Two implementations ship:
+-- the row-level contract the naive oracle and the compiled row plans
+program against.  Two implementations ship:
 
 * ``dict`` -- :class:`repro.datalog.database.Database`, the original
   per-predicate ``set[Row]`` store with lazy composite hash indexes; the
   default, and the reference semantics for the differential suite.
 * ``columnar`` -- :class:`repro.datalog.columnar.ColumnarDatabase`,
   per-predicate column arrays over dictionary-encoded constants with a
-  batch join API on top; required by (and implied by) the ``vectorized``
-  strategy.
+  batch join API on top, which its native ``vectorized`` plans use.
 
 Backend selection resolves in precedence order: an explicit argument
 (``evaluate(..., backend=...)``, ``MultiLogSession(..., backend=...)``,
 ``--backend``), then the ``MULTILOG_BACKEND`` environment variable, then
-``dict``.  Answers are byte-identical across backends -- the backend x
-strategy differential matrix pins that down.
+``dict``.  The backend also picks the semi-naive plan
+(:func:`repro.datalog.engine.native_plan`).  Answers are byte-identical
+across backends -- the backend x {native, naive} differential matrix
+pins that down.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ BACKEND_ENV = "MULTILOG_BACKEND"
 
 @runtime_checkable
 class StorageBackend(Protocol):
-    """What every fact store must provide to the evaluation strategies.
+    """What every fact store must provide to the evaluation engine.
 
     The contract is row-level and value-typed: ``rows``/``bucket``/
     ``candidates`` speak decoded Python values regardless of the internal
-    representation, so the interpreted and compiled strategies run
+    representation, so the naive oracle and the answer rules run
     unchanged on any backend.  Backends may expose extra batch APIs (see
     :class:`~repro.datalog.columnar.ColumnarDatabase`) that only the
-    ``vectorized`` strategy uses.
+    ``vectorized`` plans use.
     """
 
     #: registry name of this implementation (``"dict"``, ``"columnar"``).

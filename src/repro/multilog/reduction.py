@@ -271,8 +271,8 @@ class ReducedProgram:
     context: LatticeContext
     specialized: bool
     user_modes: frozenset[str]
-    #: resolved storage backend the least model is computed on, with the
-    #: strategy :meth:`native_strategy` pairs it with.
+    #: resolved storage backend the least model is computed on; it picks
+    #: the semi-naive plan (:func:`~repro.datalog.engine.native_plan`).
     backend: str = "dict"
     #: the database prefix this program translates: per component
     #: (Lambda, Sigma, Pi), the clause count and the last clause object.
@@ -297,12 +297,6 @@ class ReducedProgram:
                                         repr=False, compare=False)
 
     # -- evaluation -------------------------------------------------------
-    @staticmethod
-    def native_strategy(backend: str) -> str:
-        """The strategy the shared least model is built with on ``backend``:
-        the columnar backend pairs with the vectorized strategy."""
-        return "vectorized" if backend == "columnar" else "compiled"
-
     def model(self) -> Database:
         """The stratified least model, built once.
 
@@ -323,9 +317,8 @@ class ReducedProgram:
             with build_lock(self._lock, "reduction-model"):
                 model = self._model
                 if model is None:
-                    model = evaluate(self.program,
-                                     strategy=self.native_strategy(self.backend),
-                                     backend=self.backend, increment=self._base)
+                    model = evaluate(self.program, backend=self.backend,
+                                     increment=self._base)
                     self.fixpoint_runs += 1
                     self._model = model
                     self._base = None

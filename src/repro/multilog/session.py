@@ -28,11 +28,11 @@ Sessions sharing one database stay coherent: cached engines are keyed on
 sees clauses asserted through any other session (the pre-fix behaviour
 served stale answers from the sibling's cached engine).
 
-Sessions are thin: the admissibility context, the operational engine and
-the tau-translated program of one ``(version, clearance, backend)`` are
-immutable snapshots built once and shared by every session over the
-database at that clearance and backend (Theorem 6.1 lets one least model
-serve every reader at a clearance).
+Sessions are thin: the admissibility context of one database version,
+and the operational engine and the tau-translated program of one
+``(version, clearance, backend)``, are immutable snapshots built once and
+shared by every session over the database that can use them (Theorem 6.1
+lets one least model serve every reader at a clearance).
 """
 
 from __future__ import annotations
@@ -87,11 +87,13 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 SYSTEM_LEVEL = "system"
 
 #: per-database snapshots shared by sibling sessions: the admissibility
-#: context and (a weak reference to) the operational engine of one
-#: ``(version, clearance, backend)``, keyed ``(kind, clearance, backend)``.
-#: The reduced program is shared the same way through the tau-translation
-#: memo.
+#: context of a version, keyed :data:`_CONTEXT_KEY` (it depends on Lambda
+#: alone, so every clearance and backend shares it), and (a weak
+#: reference to) the operational engine of one ``(version, clearance,
+#: backend)``, keyed ``("engine", clearance, backend)``.  The reduced
+#: program is shared the same way through the tau-translation memo.
 _SNAPSHOTS = VersionedMemo("session-snapshots")
+_CONTEXT_KEY = ("context",)
 
 
 class MultiLogSession:
@@ -106,12 +108,14 @@ class MultiLogSession:
             self.database = source
         #: storage backend for the reduction engine's least model,
         #: resolved once at construction (explicit > ``MULTILOG_BACKEND``
-        #: env var > ``dict``); ``columnar`` pairs with the vectorized
-        #: evaluation strategy.  Answers are identical across backends.
+        #: env var > ``dict``); it picks the semi-naive plan.  Answers are
+        #: identical across backends.
         self.backend = resolve_backend(backend)
         if not self.database.lattice_clauses:
             self.database.add(Clause(LAtom(Constant(SYSTEM_LEVEL))))
-        self.context: LatticeContext = check_admissibility(self.database)
+        self.context: LatticeContext = _SNAPSHOTS.get_or_compute(
+            self.database, self.database.version, _CONTEXT_KEY,
+            lambda: check_admissibility(self.database))
         if clearance is None:
             tops = sorted(self.context.lattice.tops())
             if len(tops) != 1:
@@ -207,12 +211,9 @@ class MultiLogSession:
             self._engine = None
             self._reduced = None
             self.context = _SNAPSHOTS.get_or_compute(
-                self.database, version, self._snapshot_key("context"),
+                self.database, version, _CONTEXT_KEY,
                 lambda: check_admissibility(self.database))
             self._cache_version = version
-
-    def _snapshot_key(self, kind: str) -> tuple[str, str, str]:
-        return (kind, self.clearance, self.backend)
 
     @property
     def lattice(self):
@@ -238,7 +239,7 @@ class MultiLogSession:
             built.append(OperationalEngine(self.database, self.clearance, self.context))
             return weakref.ref(built[0])
 
-        key = self._snapshot_key("engine")
+        key = ("engine", self.clearance, self.backend)
         engine = _SNAPSHOTS.get_or_compute(self.database, self._cache_version, key, build)()
         if engine is None:  # every session that used it has let it go
             engine = OperationalEngine(self.database, self.clearance, self.context)
@@ -374,17 +375,17 @@ class MultiLogSession:
             return self._ask_locked(query, engine)
 
     def _ask_locked(self, query: str | Query, engine: str,
-                    rung: str | None = None) -> list[dict[str, object]]:
+                    naive: bool = False) -> list[dict[str, object]]:
         """One ask under its own recorder and its own metrics collector.
 
         The ask-local collector is what the engines count into; it
         reaches the session totals only through :meth:`_finish_ask`, so
         a failed ask cannot leak its firings or probes into them.
 
-        ``rung`` (the resilience layer's fallback, reduction engine only)
-        builds a least model of the reduced program with that strategy
-        inside this ask, so its collector, trace, budget and fault plan
-        cover the build; the shared snapshot model is never edited.
+        ``naive`` (the resilience layer's fallback, reduction engine only)
+        builds a naive least model of the reduced program inside this
+        ask, so its collector, trace, budget and fault plan cover the
+        build; the shared snapshot model is never edited.
         """
         if engine not in ("operational", "reduction"):
             raise MultiLogError(f"unknown engine {engine!r}; use 'operational' or 'reduction'")
@@ -430,9 +431,9 @@ class MultiLogSession:
                         answers = self.engine.solve(parsed)
                     else:
                         reduced = self.reduced
-                        model = None if rung is None else evaluate(
-                            reduced.program, strategy=rung,
-                            backend=reduced.backend)
+                        model = (evaluate(reduced.program, naive=True,
+                                          backend=reduced.backend)
+                                 if naive else None)
                         answers = reduced.query(parsed, model=model)
                         if ctx.audit.enabled:
                             # The reduction derives its cross-level reads
@@ -760,8 +761,7 @@ class MultiLogSession:
         # Published only now that the clause is kept: a rejected trial add
         # restores the old version number, which a later clause reuses, so
         # a context built at a trial version must never be shared.
-        _SNAPSHOTS.put(database, database.version, self._snapshot_key("context"),
-                       context)
+        _SNAPSHOTS.put(database, database.version, _CONTEXT_KEY, context)
         self.context = context
         self._engine = None
         self._reduced = None

@@ -17,7 +17,6 @@ un-instrumented callers pay a single ``ContextVar.get`` per
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -46,32 +45,17 @@ class ObsContext:
     caused them.  It never affects :attr:`enabled`: parenting is a
     correlation hint, not an instrumentation switch.
 
-    ``sample_rate`` enables head-based trace sampling: the keep/drop
-    decision is made *here*, once, at context construction -- an
-    unsampled context swaps its recorder for the null recorder before any
-    span exists, so the whole trace is dropped for the cost of one random
-    draw (``sampled`` records the decision).  Metrics, budgets, faults
-    and audit are never sampled away: counters must stay exact and the
-    audit trail is a security record, not telemetry.  Pass
-    ``sample_draw`` to make the decision deterministic (tests, seeded
-    sessions).
+    Head-based trace sampling is the session's
+    (``MultiLogSession.enable_telemetry(sample_rate=...)``): an unsampled
+    ask is handed the null recorder before its context is built.
     """
 
     __slots__ = ("recorder", "metrics", "meter", "faults", "audit",
-                 "sample_rate", "sampled", "parent_span")
+                 "parent_span")
 
     def __init__(self, recorder=None, metrics=None, meter: BudgetMeter | None = None,
-                 faults=None, audit=None, sample_rate: float = 1.0,
-                 sample_draw: float | None = None, parent_span=None):
-        self.sample_rate = sample_rate
-        if sample_rate >= 1.0:
-            self.sampled = True
-        else:
-            draw = sample_draw if sample_draw is not None else random.random()
-            self.sampled = draw < sample_rate
+                 faults=None, audit=None, parent_span=None):
         recorder = recorder if recorder is not None else NULL_RECORDER
-        if not self.sampled:
-            recorder = NULL_RECORDER
         if faults is not None:
             recorder = faults.wrap_recorder(recorder)
         self.recorder = recorder
@@ -111,8 +95,7 @@ def use(ctx: ObsContext):
 
 def observe(trace: bool = True, metrics: bool = True,
             budget: EvaluationBudget | None = None, faults=None,
-            audit: bool = False, sample_rate: float = 1.0,
-            histograms=None, sink=None) -> ObsContext:
+            audit: bool = False, histograms=None, sink=None) -> ObsContext:
     """A fresh enabled context (convenience for one traced evaluation).
 
     ``histograms`` (a :class:`~repro.obs.histogram.HistogramSet`) and
@@ -132,5 +115,4 @@ def observe(trace: bool = True, metrics: bool = True,
         BudgetMeter(budget) if budget is not None else None,
         faults,
         AuditLog() if audit else None,
-        sample_rate=sample_rate,
     )

@@ -1,6 +1,6 @@
 """EXPLAIN-style dumps of compiled join plans.
 
-Renders what the compiled strategy will actually execute: per stratum,
+Renders what the native plan will actually execute: per stratum,
 per rule, the literal order chosen by ``greedy_join_order`` +
 ``reorder_body`` and the access path of every literal -- which composite
 index it probes (and on which positions), or that it falls back to a
@@ -38,9 +38,9 @@ def explain_rule(rule, stratum_predicates: frozenset[str] = frozenset(),
                  backend: str = "dict") -> str:
     """The access-path listing for one rule (body already ordered).
 
-    ``backend="columnar"`` explains the batch pipeline the ``vectorized``
-    strategy would run (``batch hash join`` operators); the default
-    explains the row-compiled plan (``row loop`` probes).
+    ``backend="columnar"`` explains the ``vectorized`` batch pipeline
+    (``batch hash join`` operators); the default explains the
+    ``compiled`` row plan (``row loop`` probes).
     """
     from repro.datalog.plan import compile_batch_rule, compile_rule
 
@@ -58,9 +58,10 @@ def explain_rule(rule, stratum_predicates: frozenset[str] = frozenset(),
 def explain_program(program, backend: str = "dict") -> str:
     """An EXPLAIN dump of every compiled rule, grouped by stratum.
 
-    Mirrors exactly what ``evaluate(program, "compiled")`` runs (or, for
-    ``backend="columnar"``, ``evaluate(program, "vectorized")``): the
-    same stratification, the same greedy join order, the same plans.
+    Mirrors exactly what ``evaluate(program, backend=backend)`` runs --
+    ``compiled`` row plans on ``dict``, ``vectorized`` batch pipelines on
+    ``columnar``: the same stratification, the same greedy join order,
+    the same plans.
     """
     from repro.datalog.engine import _stratum_rules
     from repro.datalog.stratify import stratify
@@ -72,7 +73,7 @@ def explain_program(program, backend: str = "dict") -> str:
     max_stratum = max(assignment.values(), default=0)
     for level in range(max_stratum + 1):
         stratum_predicates = {p for p, s in assignment.items() if s == level}
-        rules = _stratum_rules(program, stratum_predicates, optimize=True)
+        rules = _stratum_rules(program, stratum_predicates)
         if not rules:
             continue
         lines.append(f"stratum[{level}]  predicates: "

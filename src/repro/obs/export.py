@@ -109,26 +109,26 @@ def render_prometheus(metrics: EngineMetrics | None = None,
                 [({}, metrics.candidate_calls)])
         counter("batch_probes_total",
                 "Whole-delta hash-join probes (vectorized strategy).",
-                [({}, getattr(metrics, "batch_probes", 0))])
+                [({}, metrics.batch_probes)])
         counter("batch_builds_total",
                 "Build-side hash-table builds/extensions (columnar backend).",
-                [({}, getattr(metrics, "batch_builds", 0))])
+                [({}, metrics.batch_builds)])
         counter("batch_dedup_rows_total",
                 "Rows dropped as duplicates by columnar bulk inserts.",
-                [({}, getattr(metrics, "batch_dedup_rows", 0))])
+                [({}, metrics.batch_dedup_rows)])
         if metrics.rounds:
             counter("fixpoint_rounds_total", "Fixpoint rounds per scope.",
                     [({"scope": scope}, count)
                      for scope, count in sorted(metrics.rounds.items())])
         counter("retries_total",
                 "Transient-fault retries spent by the resilience executor.",
-                [({}, getattr(metrics, "retries", 0))])
+                [({}, metrics.retries)])
         counter("fallbacks_total",
                 "Strategy-ladder fallbacks taken by the resilience executor.",
-                [({}, getattr(metrics, "fallbacks", 0))])
+                [({}, metrics.fallbacks)])
         counter("degraded_asks_total",
                 "Asks served degraded (fallback rung or budget-partial).",
-                [({}, getattr(metrics, "degraded_asks", 0))])
+                [({}, metrics.degraded_asks)])
         if metrics.cache:
             for kind in ("hits", "misses", "invalidations"):
                 counter(f"cache_{kind}_total", f"Cache {kind} per memo layer.",

@@ -35,8 +35,8 @@ def span_family(name: str, attrs: dict | None = None) -> str:
     """The histogram family a span belongs to.
 
     Indexed spans collapse (``stratum[3]`` -> ``stratum[*]``); the
-    ``evaluate`` span splits per strategy so the three Datalog strategies
-    get separate latency distributions.
+    ``evaluate`` span splits per plan (``compiled``, ``vectorized``,
+    ``naive``) so each gets its own latency distribution.
     """
     if name == "evaluate" and attrs and "strategy" in attrs:
         return f"evaluate[{attrs['strategy']}]"

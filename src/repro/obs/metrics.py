@@ -69,7 +69,7 @@ class EngineMetrics:
     rounds: dict[str, int] = field(default_factory=dict)
     join_probes: int = 0
     candidate_calls: int = 0
-    #: batch operators of the columnar backend's vectorized strategy:
+    #: batch operators of the columnar backend's vectorized plans:
     #: whole-delta hash-join probes, build-side hash-table builds (or
     #: incremental extensions), and rows dropped as duplicates by bulk
     #: inserts.  Zero on the row-at-a-time paths.

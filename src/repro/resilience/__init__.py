@@ -14,7 +14,7 @@ model):
 * **Degradation ladder** (:mod:`~repro.resilience.executor`) -- a
   :class:`ResilientExecutor` wrapping ``evaluate`` and
   ``MultiLogSession.ask``: capped-exponential retry for transient
-  faults, fallback from the requested strategy to ``naive`` for
+  faults, fallback from the backend's native plan to ``naive`` for
   strategy-specific failures, and, when the caller opts in, a
   :class:`PartialResult` instead of a raise on budget exhaustion.
 * **Crash-safe journaling** (:mod:`~repro.resilience.journal`) -- a

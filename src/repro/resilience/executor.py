@@ -6,12 +6,13 @@ with a three-step failure policy:
 
 1. **Retry** transient faults (:func:`repro.errors.is_transient`) on the
    same ladder rung, with capped exponential backoff.
-2. **Fall back** to ``naive`` when the requested strategy fails in a
+2. **Fall back** to ``naive`` when the backend's native plan fails in a
    strategy-specific way (:class:`~repro.errors.StrategyFailureError`)
    or keeps failing after all retries.  The ladder has two rungs: the
-   ``vectorized``, ``compiled`` and ``seminaive`` strategies share one
-   semi-naive driver, so a fault in it hits all three, and ``naive`` --
-   the differential oracle -- is the one strategy independent of it.
+   native plan (``compiled`` on ``dict``, ``vectorized`` on
+   ``columnar``; :func:`repro.datalog.engine.native_plan`), then
+   ``naive`` -- the differential oracle, the one evaluation independent
+   of the semi-naive driver.  A ``naive`` request has that rung alone.
 3. **Degrade** on budget exhaustion: with ``allow_partial=True`` the
    caller gets a :class:`PartialResult` -- the answers derived before the
    abort, ``complete=False``, and the rung that served it -- instead of a
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.datalog.columnar import ColumnarDatabase
 from repro.datalog.database import Database
-from repro.datalog.engine import evaluate as _engine_evaluate
+from repro.datalog.engine import evaluate as _engine_evaluate, native_plan
 from repro.datalog.rules import Program
 from repro.errors import (
     BudgetExceededError,
@@ -41,7 +42,6 @@ from repro.errors import (
     StrategyFailureError,
     is_transient,
 )
-from repro.multilog.reduction import ReducedProgram
 from repro.obs.budget import EvaluationBudget
 
 
@@ -126,7 +126,8 @@ class ResilientExecutor:
 
     # ------------------------------------------------------------------
     def _run_rungs(self, requested: str, attempt_rung, outcome: Outcome):
-        """Shared retry/fallback driver over ``requested``, then ``naive``.
+        """Shared retry/fallback driver over ``requested``, then ``naive``
+        (``naive`` alone when that is the request).
 
         ``attempt_rung(rung)`` performs one attempt; transient failures
         retry the rung, strategy failures and exhausted retries descend,
@@ -162,25 +163,27 @@ class ResilientExecutor:
         raise last_error
 
     # ------------------------------------------------------------------
-    def evaluate(self, program: Program, strategy: str = "compiled",
+    def evaluate(self, program: Program, *, naive: bool = False,
                  budget: EvaluationBudget | None = None,
                  **kwargs) -> Database | PartialResult:
         """Resilient :func:`repro.datalog.engine.evaluate`.
 
-        Returns the least model :class:`Database` on success (possibly
-        from the ``naive`` rung), a :class:`PartialResult` on budget
-        exhaustion when ``allow_partial`` is set, and raises otherwise.
+        Climbs the backend's native plan, then ``naive`` (or ``naive``
+        alone when asked).  Returns the least model on success, a
+        :class:`PartialResult` on budget exhaustion when
+        ``allow_partial`` is set, and raises otherwise.
         """
-        outcome = Outcome(requested=strategy)
+        requested = "naive" if naive else native_plan(kwargs.get("backend"))
+        outcome = Outcome(requested=requested)
         self.last_outcome = outcome
         effective_budget = budget if budget is not None else self.budget
 
         def attempt_rung(rung: str) -> Database:
-            return _engine_evaluate(program, strategy=rung,
+            return _engine_evaluate(program, naive=rung == "naive",
                                     budget=effective_budget, **kwargs)
 
         try:
-            result = self._run_rungs(strategy, attempt_rung, outcome)
+            result = self._run_rungs(requested, attempt_rung, outcome)
         except BudgetExceededError as exc:
             if not self.allow_partial:
                 raise
@@ -194,7 +197,7 @@ class ResilientExecutor:
                           else None),
                 attempts=outcome.attempts,
             )
-        if outcome.rung != strategy:
+        if outcome.rung != requested:
             outcome.degraded = f"{outcome.rung}:fallback"
         return result
 
@@ -206,7 +209,7 @@ class ResilientExecutor:
         Transient faults retry the ask; a strategy-specific failure
         re-runs it on the ``naive`` rung, an ask through the reduction
         engine whose least model is built naively inside the ask (the
-        operational engine has no strategy knob; the reduction answers
+        operational engine has no naive plan; the reduction answers
         the same queries -- Theorem 6.1); budget exhaustion with
         ``allow_partial`` salvages the answers derivable from the partial
         model and returns them in a :class:`PartialResult`.  Every rung
@@ -216,14 +219,14 @@ class ResilientExecutor:
         ``session.last_stats().degraded`` and a ``degraded`` attribute
         on the ask's root span.
         """
-        native = ReducedProgram.native_strategy(session.backend)
+        native = native_plan(session.backend)
         outcome = Outcome(requested=native)
         self.last_outcome = outcome
 
         def attempt_rung(rung: str) -> list[dict[str, object]]:
             if rung == native:
                 return session._ask_locked(query, engine)
-            return session._ask_locked(query, "reduction", rung=rung)
+            return session._ask_locked(query, "reduction", naive=True)
 
         with session._single_flight("ask"):
             try:

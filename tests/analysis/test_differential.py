@@ -1,7 +1,7 @@
 """Differential guarantee: analyzer-clean programs evaluate cleanly.
 
-If the analyzer reports no errors, every Datalog strategy must accept
-and agree on the program; if it reports ML001/ML002/ML003, the engine's
+If the analyzer reports no errors, the naive oracle and the native plan
+on both storage backends must accept and agree on the program; if it reports ML001/ML002/ML003, the engine's
 own fail-fast guards must reject it too (the analyzer is neither more
 lenient nor spuriously strict).
 """
@@ -14,7 +14,9 @@ from repro.errors import DatalogError, ReproError
 from repro.multilog.session import MultiLogSession
 from repro.workloads import random_datalog_program, random_multilog_database
 
-STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
+#: evaluate() options for {dict, columnar} x {native, naive}.
+PLANS = [{"backend": backend, "naive": naive}
+         for backend in ("dict", "columnar") for naive in (False, True)]
 
 CLEAN_PROGRAMS = [
     "path(X, Y) :- edge(X, Y). path(X, Z) :- edge(X, Y), path(Y, Z). "
@@ -35,12 +37,12 @@ BROKEN_PROGRAMS = [
 def test_accepted_programs_run_under_every_strategy(source):
     program = parse_program(source)
     assert analyze_program(program).ok
-    models = [
-        {(p, row) for p in evaluate(program, strategy=s).predicates()
-         for row in evaluate(program, strategy=s).rows(p)}
-        for s in STRATEGIES
-    ]
-    assert models[0] == models[1] == models[2]
+    models = []
+    for plan in PLANS:
+        db = evaluate(program, **plan)
+        models.append({(p, row) for p in db.predicates() for row in db.rows(p)})
+    for model, plan in zip(models[1:], PLANS[1:]):
+        assert model == models[0], plan
 
 
 @pytest.mark.parametrize("source", BROKEN_PROGRAMS)
@@ -48,9 +50,9 @@ def test_rejected_programs_fail_in_the_engine_too(source):
     program = parse_program(source)
     report = analyze_program(program)
     assert not report.ok
-    for strategy in STRATEGIES:
+    for plan in PLANS:
         with pytest.raises(DatalogError):
-            evaluate(program, strategy=strategy)
+            evaluate(program, **plan)
 
 
 def test_analyze_kwarg_reports_every_finding():
@@ -67,8 +69,8 @@ def test_random_programs_agree_with_their_diagnosis(seed):
     program = parse_program(random_datalog_program(12, shape="random", seed=seed))
     report = analyze_program(program)
     if report.ok:
-        for strategy in STRATEGIES:
-            evaluate(program, strategy=strategy)
+        for plan in PLANS:
+            evaluate(program, **plan)
     else:
         with pytest.raises(ReproError):
             evaluate(program)

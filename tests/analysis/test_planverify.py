@@ -66,12 +66,12 @@ class TestGoldenCorpus:
 
     @pytest.mark.parametrize("text", CORPUS)
     def test_verification_enabled_end_to_end(self, text):
-        # The default-on wiring: both codegen strategies evaluate the
-        # corpus with the verifier live on every compiled variant.
+        # The default-on wiring: both native plans evaluate the corpus
+        # with the verifier live on every compiled variant.
         assert plan_verification_enabled()
         program = parse_program(text)
-        evaluate(program, "compiled")
-        evaluate(program, "vectorized", backend="columnar")
+        evaluate(program, backend="dict")
+        evaluate(program, backend="columnar")
 
 
 class TestStructuralChecks:

@@ -1,11 +1,12 @@
 """Backend differential tests: dict and columnar answers are identical.
 
 The columnar backend re-implements storage with interned codes, column
-arrays and batch hash joins; the vectorized strategy re-implements rule
-firing with whole-delta pipelines.  These tests pin both to the row
-semantics: every (strategy, backend) combination must produce the same
-total model on the golden corner corpus, on random workloads, and on
-interleaved session assert/ask traces.
+arrays and batch hash joins, and its native ``vectorized`` plan
+re-implements rule firing with whole-delta pipelines.  These tests pin
+both to the row semantics: every {dict, columnar} x {native, naive}
+combination must produce the same total model on the golden corner
+corpus, on random workloads, and on interleaved session assert/ask
+traces.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.datalog import (
     parse_program,
     resolve_backend,
 )
+from repro.datalog.engine import native_plan
 from repro.errors import DatalogError
 from repro.multilog import MultiLogSession
 from repro.obs.explain import explain_program
@@ -26,16 +28,13 @@ from repro.workloads.generator import random_datalog_program
 
 from .test_compiled_differential import CORNER_CASES, full_model
 
-#: Every (strategy, backend) pair that must agree.  The vectorized
-#: strategy only runs columnar; the row strategies run on both.
+#: Every (naive, backend) pair that must agree; ``naive=False`` runs the
+#: backend's native plan (compiled on dict, vectorized on columnar).
 MATRIX = [
-    ("naive", "dict"),
-    ("seminaive", "dict"),
-    ("compiled", "dict"),
-    ("naive", "columnar"),
-    ("seminaive", "columnar"),
-    ("compiled", "columnar"),
-    ("vectorized", "columnar"),
+    (True, "dict"),
+    (False, "dict"),
+    (True, "columnar"),
+    (False, "columnar"),
 ]
 
 RANDOM_CASES = [
@@ -47,24 +46,24 @@ RANDOM_CASES = [
 
 def models_for(text):
     return [
-        full_model(evaluate(parse_program(text), strategy, backend=backend))
-        for strategy, backend in MATRIX
+        full_model(evaluate(parse_program(text), naive=naive, backend=backend))
+        for naive, backend in MATRIX
     ]
 
 
 @pytest.mark.parametrize("text", CORNER_CASES)
 def test_corner_cases_agree_across_backends(text):
     models = models_for(text)
-    for model, (strategy, backend) in zip(models[1:], MATRIX[1:]):
-        assert model == models[0], f"{strategy}/{backend} diverged"
+    for model, (naive, backend) in zip(models[1:], MATRIX[1:]):
+        assert model == models[0], f"naive={naive}/{backend} diverged"
 
 
 @pytest.mark.parametrize("shape,seed", RANDOM_CASES)
 def test_random_programs_agree_across_backends(shape, seed):
     text = random_datalog_program(6 + (seed % 9), shape, seed=seed)
     models = models_for(text)
-    for model, (strategy, backend) in zip(models[1:], MATRIX[1:]):
-        assert model == models[0], f"{strategy}/{backend} diverged"
+    for model, (naive, backend) in zip(models[1:], MATRIX[1:]):
+        assert model == models[0], f"naive={naive}/{backend} diverged"
 
 
 class TestBackendSelection:
@@ -82,6 +81,9 @@ class TestBackendSelection:
         assert resolve_backend() == "columnar"
         db = evaluate(parse_program("e(a, b). p(X) :- e(X, Y)."))
         assert db.backend == "columnar"
+        # ... and so does the plan the backend picks.
+        assert native_plan() == "vectorized"
+        assert native_plan("dict") == "compiled"
         # An explicit argument still wins over the environment.
         assert resolve_backend("dict") == "dict"
 
@@ -89,13 +91,6 @@ class TestBackendSelection:
         monkeypatch.setenv(BACKEND_ENV, "parquet")
         with pytest.raises(DatalogError):
             resolve_backend()
-
-    def test_vectorized_requires_columnar(self):
-        program = parse_program("e(a, b). p(X) :- e(X, Y).")
-        with pytest.raises(DatalogError, match="columnar"):
-            evaluate(program, "vectorized", backend="dict")
-        # Unspecified backend is fine: vectorized implies columnar.
-        assert evaluate(program, "vectorized").backend == "columnar"
 
 
 class TestColumnarStore:
@@ -126,7 +121,7 @@ class TestColumnarStore:
         path(X, Y) :- edge(X, Y).
         path(X, Y) :- path(X, Z), edge(Z, Y).
         """
-        db = evaluate(parse_program(text), "vectorized")
+        db = evaluate(parse_program(text), backend="columnar")
         assert db.batch_probe_count > 0
         assert db.batch_build_count > 0
 

@@ -1,9 +1,11 @@
-"""Differential tests: naive, semi-naive and compiled evaluation agree.
+"""Differential tests: the native plans agree with the naive oracle.
 
-The compiled path (:mod:`repro.datalog.plan`) re-implements body matching
-with generated code, slot environments and composite indexes -- these
-tests pin it to the interpreted semantics on random programs and on the
-hand-written corner cases codegen is most likely to get wrong.
+The native plans (:mod:`repro.datalog.plan`) re-implement body matching
+with generated code -- ``compiled`` row loops over slot environments and
+composite indexes on ``dict``, ``vectorized`` batch pipelines on
+``columnar``.  These tests pin both to the naive interpreter on random
+programs and on the hand-written corner cases codegen is most likely to
+get wrong, comparing every model.
 """
 
 import pytest
@@ -11,12 +13,25 @@ import pytest
 from repro.datalog import evaluate, parse_program
 from repro.workloads.generator import random_datalog_program
 
-STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
+#: (label, evaluate() options): the naive oracle first, then each
+#: backend's native plan.
+PLANS = [
+    ("naive", {"naive": True}),
+    ("compiled", {"backend": "dict"}),
+    ("vectorized", {"backend": "columnar"}),
+]
 
 
 def full_model(db):
     """Every derived row, keyed by predicate (total-model comparison)."""
     return {p: db.rows(p) for p in db.predicates()}
+
+
+def assert_plans_agree(text):
+    models = [full_model(evaluate(parse_program(text), **options))
+              for _label, options in PLANS]
+    for model, (label, _options) in zip(models[1:], PLANS[1:]):
+        assert model == models[0], f"{label} diverged from naive"
 
 
 # 27 random programs: 9 seeds x 3 shapes.
@@ -29,12 +44,7 @@ RANDOM_CASES = [
 
 @pytest.mark.parametrize("shape,seed", RANDOM_CASES)
 def test_random_programs_agree(shape, seed):
-    text = random_datalog_program(6 + (seed % 9), shape, seed=seed)
-    models = [
-        full_model(evaluate(parse_program(text), strategy))
-        for strategy in STRATEGIES
-    ]
-    assert models[0] == models[1] == models[2]
+    assert_plans_agree(random_datalog_program(6 + (seed % 9), shape, seed=seed))
 
 
 CORNER_CASES = [
@@ -83,8 +93,4 @@ CORNER_CASES = [
 
 @pytest.mark.parametrize("text", CORNER_CASES)
 def test_corner_cases_agree(text):
-    models = [
-        full_model(evaluate(parse_program(text), strategy))
-        for strategy in STRATEGIES
-    ]
-    assert models[0] == models[1] == models[2]
+    assert_plans_agree(text)

@@ -143,7 +143,7 @@ def test_columnar_projections_catch_up_once_under_threads():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            db = evaluate(program, strategy="vectorized", backend="columnar")
+            db = evaluate(program, backend="columnar")
             barrier = threading.Barrier(8, timeout=10)
 
             def first_reads():
@@ -180,7 +180,7 @@ def test_columnar_copy_races_projection_catch_up():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            db = evaluate(program, strategy="vectorized", backend="columnar")
+            db = evaluate(program, backend="columnar")
             barrier = threading.Barrier(8, timeout=10)
             copies = []
 

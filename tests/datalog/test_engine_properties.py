@@ -1,4 +1,5 @@
-"""Property tests: the three evaluation strategies agree on random programs."""
+"""Property tests: bottom-up (naive and native semi-naive), top-down and
+magic-set evaluation agree on random programs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,9 @@ programs = st.builds(
 @settings(max_examples=40, deadline=None)
 def test_naive_equals_seminaive(text):
     prog = parse_program(text)
-    assert evaluate(prog, "naive").rows("path") == \
-        evaluate(prog, "seminaive").rows("path")
+    expected = evaluate(prog, naive=True).rows("path")
+    for backend in ("dict", "columnar"):
+        assert evaluate(prog, backend=backend).rows("path") == expected
 
 
 @given(programs)

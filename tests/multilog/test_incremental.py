@@ -58,7 +58,7 @@ def assert_equals_scratch(session: MultiLogSession) -> None:
     """The session's snapshot against the oracle and a scratch build."""
     reduced = session.reduced
     model = reduced.model()
-    oracle = evaluate(reduced.program, "naive")
+    oracle = evaluate(reduced.program, naive=True)
     assert rows_by_predicate(model) == rows_by_predicate(oracle)
     fresh = translate(scratch(session.database), session.clearance,
                       backend=session.backend)
@@ -221,7 +221,7 @@ def test_retracted_trial_translation_is_never_extended(backend):
     keys = {row[1] for row in reduced.model().rows("rel")}
     assert {"dan", "erin"} <= keys and "mallory" not in keys
     assert rows_by_predicate(reduced.model()) == \
-        rows_by_predicate(evaluate(reduced.program, "naive"))
+        rows_by_predicate(evaluate(reduced.program, naive=True))
 
 
 def test_stale_predecessor_is_named_on_the_span():

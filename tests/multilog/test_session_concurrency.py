@@ -165,14 +165,14 @@ def test_recover_without_backend_resolves_env(tmp_path, monkeypatch):
 # -- version-last revalidation ------------------------------------------
 
 def test_failed_revalidation_is_retried_not_pinned(monkeypatch):
+    from repro.multilog.parser import parse_clause
+
     reader = MultiLogSession(D1_SOURCE, clearance="s")
-    # The writer sits at another clearance: an assert publishes its
-    # validated context only for its own (clearance, backend) snapshot,
-    # so the reader must rebuild -- and that rebuild is what fails here.
-    writer = reader.with_clearance("c")
     baseline = reader.ask(ASK)  # build and cache the reader's engine
 
-    writer.assert_clause("u[p(k4 : a -u-> 4)].")
+    # A clause added to the database directly publishes no context, so
+    # the reader must rebuild -- and that rebuild is what fails here.
+    reader.database.add(parse_clause("u[p(k4 : a -u-> 4)]."))
 
     real = session_mod.check_admissibility
     calls = {"n": 0}
@@ -216,6 +216,35 @@ def test_same_clearance_reader_reuses_the_asserted_context(monkeypatch):
     assert any(answer.get("K") == "k4" for answer in reader.ask(ASK))
     assert reader.context is writer.context
     assert reader._cache_version == reader.database.version
+
+
+def test_one_admissibility_check_per_version(monkeypatch):
+    """The admissibility context depends on Lambda alone: one check per
+    database version serves every clearance and backend, including
+    siblings made after the assert and siblings at other clearances."""
+    real = session_mod.check_admissibility
+    calls = []
+
+    def counted(database):
+        calls.append(database.version)
+        return real(database)
+
+    monkeypatch.setattr(session_mod, "check_admissibility", counted)
+    top = MultiLogSession(D1_SOURCE, clearance="s")
+    assert len(calls) == 1
+    low = top.with_clearance("u")
+    low.ask(ASK.replace("s[", "u["))
+    assert len(calls) == 1
+
+    top.assert_clause("u[p(k4 : a -u-> 4)].")  # publishes its context
+    assert any(answer.get("K") == "k4"
+               for answer in low.ask(ASK.replace("s[", "u[")))
+    for clearance, backend in (("c", None), ("u", "columnar")):
+        sibling = MultiLogSession(top.database, clearance=clearance,
+                                  backend=backend)
+        sibling.ask(ASK.replace("s[", f"{clearance}["))
+    assert len(calls) == 1
+    assert low.context is top.context
 
 
 def test_rejected_assert_publishes_no_context(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Evaluation budgets interrupt runaway evaluations with partial metrics.
 
 The canonical adversarial input is a transitive closure over a long
-chain: every strategy derives O(n^2) path facts over O(n) rounds, so a
+chain: every plan derives O(n^2) path facts over O(n) rounds, so a
 small row or round cap trips mid-fixpoint.
 """
 
@@ -12,7 +12,14 @@ from repro.errors import BudgetExceededError
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget, observe, use
 
-STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
+#: test id -> evaluate() options: the naive oracle, the semi-naive plan
+#: the (environment's) backend picks, and each backend's native plan.
+PLANS = {
+    "naive": {"naive": True},
+    "seminaive": {},
+    "compiled": {"backend": "dict"},
+    "vectorized": {"backend": "columnar"},
+}
 
 
 def chain_tc(n: int) -> str:
@@ -21,29 +28,30 @@ def chain_tc(n: int) -> str:
 
 
 class TestDatalogBudgets:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_row_cap_interrupts(self, strategy):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_row_cap_interrupts(self, plan):
         program = parse_program(chain_tc(30))
         with pytest.raises(BudgetExceededError) as info:
-            evaluate(program, strategy, budget=EvaluationBudget(max_derived_rows=50))
+            evaluate(program, **PLANS[plan],
+                     budget=EvaluationBudget(max_derived_rows=50))
         exc = info.value
         assert exc.reason == "rows"
         assert exc.spent["rows"] > 50
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_round_cap_interrupts(self, strategy):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_round_cap_interrupts(self, plan):
         program = parse_program(chain_tc(30))
         with pytest.raises(BudgetExceededError) as info:
-            evaluate(program, strategy, budget=EvaluationBudget(max_rounds=3))
+            evaluate(program, **PLANS[plan], budget=EvaluationBudget(max_rounds=3))
         exc = info.value
         assert exc.reason == "rounds"
         assert exc.spent["rounds"] == 4  # failed entering round cap+1
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_timeout_interrupts(self, strategy):
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_timeout_interrupts(self, plan):
         program = parse_program(chain_tc(60))
         with pytest.raises(BudgetExceededError) as info:
-            evaluate(program, strategy, budget=EvaluationBudget(timeout_s=0.0))
+            evaluate(program, **PLANS[plan], budget=EvaluationBudget(timeout_s=0.0))
         assert info.value.reason == "timeout"
         assert info.value.spent["elapsed_s"] > 0.0
 

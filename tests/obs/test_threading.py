@@ -9,7 +9,7 @@ concurrently can never write into each other's recorders.
 import threading
 
 from repro.multilog import MultiLogSession
-from repro.obs import DISABLED, ObsContext, TraceRecorder, current, observe, use
+from repro.obs import DISABLED, current, observe, use
 
 SOURCE = """
 level(u). level(s). order(u, s).
@@ -112,14 +112,6 @@ class TestConcurrentSessions:
 
 
 class TestSamplingPerContext:
-    def test_sample_draw_decides_at_construction(self):
-        kept = ObsContext(TraceRecorder(), sample_rate=0.5, sample_draw=0.4)
-        dropped = ObsContext(TraceRecorder(), sample_rate=0.5, sample_draw=0.6)
-        assert kept.sampled and not dropped.sampled
-        with dropped.recorder.span("query"):
-            pass
-        assert dropped.recorder.to_dicts() == []     # swapped for the null
-
     def test_threaded_sampled_sessions_do_not_share_rng_state(self):
         # Two sessions with the same seed must make identical decisions
         # even when their asks interleave on different threads.

@@ -1,7 +1,7 @@
 """Tracing must be observation-only: traced and untraced runs agree.
 
 25 programs (random chains/trees/graphs plus negation and built-in
-corner cases) evaluated twice per strategy -- once under a fully enabled
+corner cases) evaluated twice per plan -- once under a fully enabled
 observation context, once untraced -- must produce byte-identical least
 models, and the traced run must actually have recorded spans.
 """
@@ -12,7 +12,14 @@ from repro.datalog import evaluate, parse_program
 from repro.obs import observe, use
 from repro.workloads.generator import random_datalog_program
 
-STRATEGIES = ("naive", "seminaive", "compiled", "vectorized")
+#: test id -> evaluate() options: the naive oracle, the semi-naive plan
+#: the (environment's) backend picks, and each backend's native plan.
+PLANS = {
+    "naive": {"naive": True},
+    "seminaive": {},
+    "compiled": {"backend": "dict"},
+    "vectorized": {"backend": "columnar"},
+}
 
 
 def full_model(db):
@@ -58,13 +65,13 @@ assert len(PROGRAMS) == 25
 
 
 @pytest.mark.parametrize("index", range(len(PROGRAMS)))
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_traced_model_is_identical(index, strategy):
+@pytest.mark.parametrize("plan", PLANS)
+def test_traced_model_is_identical(index, plan):
     text = PROGRAMS[index]
-    untraced = full_model(evaluate(parse_program(text), strategy))
+    untraced = full_model(evaluate(parse_program(text), **PLANS[plan]))
     ctx = observe()
     with use(ctx):
-        traced = full_model(evaluate(parse_program(text), strategy))
+        traced = full_model(evaluate(parse_program(text), **PLANS[plan]))
     assert traced == untraced
     assert ctx.recorder.find("evaluate")
 

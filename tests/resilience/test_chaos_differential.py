@@ -45,10 +45,12 @@ SESSION_WORKLOADS = [
 ]
 
 #: Engine-level span points to fault, one at a time.  A point that a
-#: given strategy never announces simply yields a fault-free run, which
+#: given plan never announces simply yields a fault-free run, which
 #: the differential assertion covers too.
 ENGINE_POINTS = ("evaluate", "stratify", "stratum[*]", "round[*]", "rule-fire")
-STRATEGIES = ("vectorized", "compiled", "seminaive", "naive")
+#: evaluate() options for {dict, columnar} x {native, naive}.
+PLANS = [{"backend": backend, "naive": naive}
+         for backend in ("dict", "columnar") for naive in (False, True)]
 SESSION_POINTS = ("query", "tau-translate", "stratum[*]", "fixpoint")
 
 
@@ -56,11 +58,11 @@ def canon(answers):
     return sorted(tuple(sorted(a.items())) for a in answers)
 
 
-def fault_kinds(strategy):
+def fault_kinds(naive):
     # A strategy failure on the naive rung has nowhere to fall; only arm
     # it where the ladder has a rung below the requested one.
     kinds = ["transient", "corrupt"]
-    if strategy != "naive":
+    if not naive:
         kinds.append("strategy")
     return kinds
 
@@ -77,20 +79,20 @@ def one_fault_plan(point, kind):
 @pytest.mark.parametrize("shape,n_nodes,seed", DATALOG_WORKLOADS)
 def test_datalog_chaos_differential(shape, n_nodes, seed):
     program = parse_program(random_datalog_program(n_nodes, shape, seed=seed))
-    for strategy in STRATEGIES:
+    for options in PLANS:
         baseline = evaluate(parse_program(
             random_datalog_program(n_nodes, shape, seed=seed)),
-            strategy=strategy).rows("path")
+            **options).rows("path")
         for point in ENGINE_POINTS:
-            for kind in fault_kinds(strategy):
+            for kind in fault_kinds(options["naive"]):
                 plan = one_fault_plan(point, kind)
                 executor = ResilientExecutor()
                 with use(ObsContext(faults=plan)):
-                    db = executor.evaluate(program, strategy=strategy)
+                    db = executor.evaluate(program, **options)
                 rows = db.rows("path")
                 assert rows == baseline, (
                     f"{shape}/{n_nodes}/seed={seed}: {kind} fault at {point} "
-                    f"({strategy}) changed the answers")
+                    f"({options}) changed the answers")
 
 
 @pytest.mark.parametrize("n_tuples,belief_rules,seed", SESSION_WORKLOADS)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.datalog import evaluate, parse_program
+from repro.datalog.engine import native_plan
 from repro.errors import (
     BudgetExceededError,
-    DatalogError,
     FaultInjectedError,
     StrategyFailureError,
     TransientFaultError,
@@ -50,7 +50,7 @@ class TestRetry:
         assert db.rows("path") == baseline_rows()
         outcome = executor.last_outcome
         assert outcome.retries == 1
-        assert outcome.rung == "compiled"
+        assert outcome.rung == native_plan()
         assert outcome.degraded is None
 
     def test_corruption_is_retried_too(self):
@@ -69,7 +69,7 @@ class TestRetry:
         with use(ObsContext(faults=plan)):
             with pytest.raises(TransientFaultError):
                 executor.evaluate(parse_program(PROGRAM))
-        # 2 attempts per rung (1 retry), 2 rungs: compiled, then naive.
+        # 2 attempts per rung (1 retry), 2 rungs: native, then naive.
         assert executor.last_outcome.attempts == 4
         assert executor.last_outcome.fallbacks == 1
 
@@ -118,30 +118,25 @@ class TestLadder:
         assert outcome.degraded == "naive:fallback"
 
     def test_ladder_starts_at_the_requested_strategy(self):
-        def run(strategy, point):
+        def run(point, **options):
             plan = FaultPlan()
             plan.arm(point, error="strategy", times=None)
             executor = ResilientExecutor()
             with use(ObsContext(faults=plan)):
                 try:
-                    executor.evaluate(parse_program(PROGRAM), strategy=strategy)
+                    executor.evaluate(parse_program(PROGRAM), **options)
                 except StrategyFailureError:
                     pass
             outcome = executor.last_outcome
             return outcome.requested, outcome.rung, outcome.attempts
 
-        # Any requested strategy but naive falls straight to naive.
-        assert run("seminaive", "rule-fire") == ("seminaive", "naive", 2)
-        assert run("vectorized", "rule-fire") == ("vectorized", "naive", 2)
+        # The backend's native plan falls straight to naive.
+        assert run("rule-fire", backend="dict") == ("compiled", "naive", 2)
+        assert run("rule-fire", backend="columnar") \
+            == ("vectorized", "naive", 2)
         # A naive request has one rung: a strategy failure has nowhere
         # to fall.
-        assert run("naive", "stratum[*]") == ("naive", "naive", 1)
-        # An unknown strategy is a permanent error on its own rung.
-        executor = ResilientExecutor()
-        with pytest.raises(DatalogError):
-            executor.evaluate(parse_program(PROGRAM), strategy="topdown")
-        assert (executor.last_outcome.rung, executor.last_outcome.attempts) \
-            == ("topdown", 1)
+        assert run("stratum[*]", naive=True) == ("naive", "naive", 1)
 
     def test_exhausted_transient_retries_descend_the_ladder(self):
         plan = FaultPlan()
@@ -170,11 +165,11 @@ class TestPartial:
         assert isinstance(result, PartialResult)
         assert result.complete is False
         assert result.reason == "budget-rounds"
-        assert result.rung == "compiled"
+        assert result.rung == native_plan()
         # Negation-free: the partial model is a subset of the true model.
         assert result.database is not None
         assert result.database.rows("path") < baseline_rows()
-        assert executor.last_outcome.degraded == "compiled:budget-rounds"
+        assert executor.last_outcome.degraded == f"{native_plan()}:budget-rounds"
 
     def test_partial_ask_flags_and_salvages(self):
         session = MultiLogSession(MLOG, clearance="s",
@@ -184,7 +179,8 @@ class TestPartial:
         assert isinstance(result, PartialResult)
         assert result.complete is False
         # Degradation is surfaced through the session's observability.
-        assert session.last_stats().degraded == "compiled:budget-rounds"
+        assert session.last_stats().degraded \
+            == f"{native_plan(session.backend)}:budget-rounds"
         root = session.last_trace().roots[-1]
         assert root.attrs.get("degraded") is True
 
@@ -213,7 +209,7 @@ class TestAskResilience:
         # reduced model would never reach the faulted stratum spans).
         session = MultiLogSession(MLOG, clearance="s")
         plan = FaultPlan()
-        plan.arm("stratum[*]", error="strategy")  # kills the compiled rung
+        plan.arm("stratum[*]", error="strategy")  # kills the native rung
         session.arm_faults(plan)
         executor = ResilientExecutor()
         answers = executor.ask(session, QUERY, engine="reduction")

@@ -132,7 +132,7 @@ class TestFallbackRungIsTheAsk:
             == ["naive"]
         oracle = MetricsCollector()
         with use(ObsContext(metrics=oracle)):
-            evaluate(session.reduced.program, strategy="naive")
+            evaluate(session.reduced.program, naive=True)
         # The ask counted the naive build, plus its own answer rules.
         served = session.last_ask_metrics()
         assert served.rounds == oracle.rounds

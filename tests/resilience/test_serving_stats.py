@@ -5,6 +5,7 @@ answers -- aborted tries are rolled back, not merged in -- stamped with
 
 import pytest
 
+from repro.datalog.engine import native_plan
 from repro.errors import BudgetExceededError
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget
@@ -30,10 +31,10 @@ class TestServingAttempt:
     def test_fault_free_ask_is_attempt_one(self):
         stats = clean_stats()
         assert stats.attempt == 1
-        assert stats.rung == "compiled"
+        assert stats.rung == native_plan()
         assert stats.retries == 0
         assert stats.fallbacks == 0
-        assert "served by: attempt 1 on rung compiled" in stats.summary()
+        assert f"served by: attempt 1 on rung {native_plan()}" in stats.summary()
 
     def test_retried_ask_reports_only_the_serving_attempt(self):
         baseline = clean_stats()
@@ -50,7 +51,7 @@ class TestServingAttempt:
         assert stats.total_firings == baseline.total_firings
         assert stats.join_probes == baseline.join_probes
         assert stats.asks == 1
-        assert "served by: attempt 3 on rung compiled" in stats.summary()
+        assert f"served by: attempt 3 on rung {native_plan()}" in stats.summary()
 
     def test_fallback_reports_the_lower_rung(self):
         session = MultiLogSession(MLOG, clearance="s")

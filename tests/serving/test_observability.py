@@ -246,7 +246,7 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
     if degraded:
         build = MetricsCollector()
         with use(ObsContext(metrics=build)):
-            evaluate(serial.reduced.program, strategy="naive")
+            evaluate(serial.reduced.program, naive=True)
         [root] = roots
         assert root.attrs["rows"] >= sum(build.rows_derived.values()) > 1
         assert root.attrs["probes"] >= build.join_probes > 5
