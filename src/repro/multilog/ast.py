@@ -305,29 +305,14 @@ class MultiLogDatabase:
         self.queries.append(query)
         self.version += 1
 
-    def retract(self, clause: Clause) -> None:
-        """Undo the most recent :meth:`add` of ``clause`` (rollback).
-
-        Removes the clause from its component (matched by identity, from
-        the end) and restores the pre-add ``version``, so memo layers and
-        sibling-session caches built before the add stay valid -- the
-        content is byte-identical to the pre-add state.  Only safe for a
-        clause that was the latest mutation; ``assert_clause`` uses it to
-        stay atomic when validation rejects a trial add.
-        """
-        kind = clause.kind()
-        if kind in ("l", "h"):
-            component = self.lattice_clauses
-        elif kind == "m":
-            component = self.secured_clauses
-        else:
-            component = self.plain_clauses
-        for index in range(len(component) - 1, -1, -1):
-            if component[index] is clause:
-                del component[index]
-                self.version -= 1
-                return
-        raise ValueError(f"clause {clause} is not in the database")
+    def with_clause(self, clause: Clause) -> "MultiLogDatabase":
+        """A copy that also holds ``clause``: the candidate an update is
+        validated against before this database takes the clause."""
+        candidate = MultiLogDatabase(list(self.lattice_clauses),
+                                     list(self.secured_clauses),
+                                     list(self.plain_clauses), list(self.queries))
+        candidate._component_for(clause).append(clause)
+        return candidate
 
     def clauses(self) -> list[Clause]:
         return self.lattice_clauses + self.secured_clauses + self.plain_clauses

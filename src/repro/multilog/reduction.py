@@ -274,9 +274,9 @@ class ReducedProgram:
     #: resolved storage backend the least model is computed on; it picks
     #: the semi-naive plan (:func:`~repro.datalog.engine.native_plan`).
     backend: str = "dict"
-    #: the database prefix this program translates: per component
-    #: (Lambda, Sigma, Pi), the clause count and the last clause object.
-    source: tuple = ()
+    #: the database prefix this program translates: the clause counts of
+    #: Lambda, Sigma and Pi.
+    source: tuple[int, ...] = ()
     #: how many of ``program.rules`` translate clauses; the axioms follow.
     clause_rules: int = 0
     #: the least model, published whole by :meth:`model` and never edited
@@ -323,11 +323,6 @@ class ReducedProgram:
                     self._model = model
                     self._base = None
         return model
-
-    def translates(self, db: MultiLogDatabase) -> bool:
-        """True when this program is the translation of ``db`` as it is."""
-        return all(len(component) == count and (not count or component[-1] is last)
-                   for component, (count, last) in zip(_components(db), self.source))
 
     def rel_rows(self) -> set[tuple]:
         """All derived cells as ``(p, k, a, v, c, l)`` rows."""
@@ -697,28 +692,8 @@ def _scan(clauses: list[Clause]) -> tuple[bool, frozenset[str]]:
     return has_batom, frozenset(modes)
 
 
-def _components(db: MultiLogDatabase) -> tuple[list[Clause], ...]:
-    return (db.lattice_clauses, db.secured_clauses, db.plain_clauses)
-
-
-def _source(db: MultiLogDatabase) -> tuple:
-    return tuple((len(component), component[-1] if component else None)
-                 for component in _components(db))
-
-
-def _unchanged_prefix(source: tuple, db: MultiLogDatabase) -> bool:
-    """True when ``db`` still holds, at the same positions, the clauses a
-    translation of ``source`` was built from.
-
-    The database only appends, and only a rejected trial add is
-    retracted, so the last clause of each component decides.  A
-    translation built at a trial version that was retracted fails here
-    once another clause has taken the trial clause's position.
-    """
-    for component, (count, last) in zip(_components(db), source):
-        if len(component) < count or (count and component[count - 1] is not last):
-            return False
-    return True
+def _source(db: MultiLogDatabase) -> tuple[int, ...]:
+    return (len(db.lattice_clauses), len(db.secured_clauses), len(db.plain_clauses))
 
 
 #: tau-translations memoized per database: key ``(clearance, specialize,
@@ -741,17 +716,10 @@ def translate(db: MultiLogDatabase, clearance: str,
     """
     resolved = resolve_backend(backend)
     key = (clearance, specialize, resolved)
-    reduced = _TRANSLATE_MEMO.get_or_extend(
+    return _TRANSLATE_MEMO.get_or_extend(
         db, db.version, key,
         lambda previous: _translate(db, clearance, context, specialize,
                                     resolved, previous))
-    if not reduced.translates(db):
-        # Built at a trial version that was retracted, whose number a
-        # different clause has since taken.
-        reduced = _translate(db, clearance, context, specialize, resolved,
-                             reduced)
-        _TRANSLATE_MEMO.put(db, db.version, key, reduced)
-    return reduced
 
 
 def _translate(db: MultiLogDatabase, clearance: str,
@@ -819,8 +787,6 @@ def _extend(previous: ReducedProgram, db: MultiLogDatabase,
     the user-defined modes.  So the extension is exact unless one of
     those moved; then it returns ``(None, reason)``:
 
-    * ``stale-predecessor`` -- ``previous`` was not built from a prefix
-      of ``db`` (:func:`_unchanged_prefix`);
     * ``lattice`` -- a Lambda clause was added;
     * ``specialization`` -- a new body b-atom would switch the automatic
       choice to the level-specialized reduction;
@@ -832,10 +798,8 @@ def _extend(previous: ReducedProgram, db: MultiLogDatabase,
     (:class:`~repro.datalog.Increment`); a new rule records ``rule``.
     """
     source = _source(db)
-    if not _unchanged_prefix(previous.source, db):
-        return None, "stale-predecessor"
-    (lattice_count, _), (secured_count, _), (plain_count, _) = previous.source
-    (lattice_now, _), (secured_now, _), (plain_now, _) = source
+    lattice_count, secured_count, plain_count = previous.source
+    lattice_now, secured_now, plain_now = source
     if lattice_now != lattice_count:
         return None, "lattice"
     added = [atomic for clause in db.secured_clauses[secured_count:secured_now]

@@ -713,14 +713,15 @@ class MultiLogSession:
     def assert_clause(self, clause: str | Clause, strict: bool = False) -> None:
         """Atomically add a clause and invalidate the cached engines.
 
-        The update is all-or-nothing: the clause is added on trial,
-        validated (Definition 5.3 admissibility; with ``strict`` also the
-        Definition 5.4 consistency checks), and only then journaled
-        (append-and-fsync, when a journal is attached) and kept.  A
-        rejected clause is retracted before the error propagates, leaving
-        ``database.version``, every sibling session's caches and the
-        journal exactly as they were -- ``ask()`` answers are
-        byte-identical before and after a failed assert.
+        The update is all-or-nothing: the clause is validated first
+        (Definition 5.3 admissibility; with ``strict`` also the
+        Definition 5.4 consistency checks, run on a candidate copy of
+        the database that also holds it), then journaled
+        (append-and-fsync, when a journal is attached), and only then
+        appended to the shared database.  A rejected clause never
+        reaches the database or the journal, so ``database.version``
+        names committed content only, never goes down, and ``ask()``
+        answers are byte-identical before and after a failed assert.
 
         Sibling sessions over the same database invalidate lazily via
         :meth:`_revalidate` (the shared ``database.version`` moved on).
@@ -737,30 +738,23 @@ class MultiLogSession:
         database = self.database
         # Only a Lambda clause can change [[Lambda]]; any other clause is
         # checked alone against the lattice of the pre-add version.
-        previous = None
-        if parsed.kind() not in ("l", "h"):
+        if parsed.kind() in ("l", "h"):
+            context = check_admissibility(database.with_clause(parsed))
+        else:
             self._revalidate()
-            previous = self.context
+            context = admit_clause(self.context, parsed)
+        if strict:
+            report = check_consistency(database.with_clause(parsed), context)
+            if not report.ok:
+                raise ConsistencyError(
+                    "clause would make the database inconsistent "
+                    "(Definition 5.4):\n" + "\n".join(report.all_messages()))
+        if self.journal is not None:
+            # Write-ahead: durable before appended and acknowledged.
+            # Validation already passed, so replaying this record is
+            # always safe.
+            self.journal.append_clause(str(parsed), database.version + 1)
         database.add(parsed)
-        try:
-            context = (check_admissibility(database) if previous is None
-                       else admit_clause(previous, parsed))
-            if strict:
-                report = check_consistency(database, context)
-                if not report.ok:
-                    raise ConsistencyError(
-                        "clause would make the database inconsistent "
-                        "(Definition 5.4):\n" + "\n".join(report.all_messages()))
-            if self.journal is not None:
-                # Write-ahead: durable before acknowledged.  Validation
-                # already passed, so replaying this record is always safe.
-                self.journal.append_clause(str(parsed), database.version)
-        except Exception:
-            database.retract(parsed)
-            raise
-        # Published only now that the clause is kept: a rejected trial add
-        # restores the old version number, which a later clause reuses, so
-        # a context built at a trial version must never be shared.
         _SNAPSHOTS.put(database, database.version, _CONTEXT_KEY, context)
         self.context = context
         self._engine = None

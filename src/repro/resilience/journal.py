@@ -25,12 +25,15 @@ very different situations instead of guessing:
 
 Durability protocol (see docs/RESILIENCE.md):
 
-* ``assert_clause`` validates the clause *first* (Definition 5.3 on the
-  trial state), then appends the record and ``fsync``\\ s before
-  acknowledging.  A rejected clause therefore never touches the journal;
-  an acknowledged clause survives a crash.  A *failed* append (ENOSPC,
-  injected fsync fault) truncates the partial line back out so the next
-  append does not merge with the residue.
+* ``assert_clause`` validates the clause *first* (Definition 5.3;
+  Lambda clauses on a candidate copy of the database that also holds
+  them), then appends the record and ``fsync``\\ s, and only then
+  appends the clause to the shared database and acknowledges.  A
+  rejected clause therefore never touches the journal, and a failed
+  append never touches the database; an acknowledged clause survives a
+  crash.  A *failed* append (ENOSPC, injected fsync fault) truncates
+  the partial line back out so the next append does not merge with the
+  residue.
 * Compaction (:meth:`SessionJournal.compact`) collapses the journal to a
   single snapshot record via write-temp -> fsync -> atomic ``os.replace``
   -> parent-directory fsync: a SIGKILL at any instant leaves either the

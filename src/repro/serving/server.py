@@ -54,7 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.errors import (
     BudgetExceededError,
@@ -121,7 +121,6 @@ class ServerConfig:
     degrade_at: float = 0.75
     #: budget for degraded asks (``None`` -> :data:`DEFAULT_SHED_BUDGET`).
     shed_budget: EvaluationBudget | None = None
-    max_sessions_per_clearance: int = 32
     #: worker threads the blocking engine calls run on.  The engine is
     #: pure Python (GIL-bound), so a handful is plenty; more threads buy
     #: fairness between requests, not throughput.
@@ -173,15 +172,9 @@ class ServerConfig:
     #: SLO target (good-request fraction) behind the per-op burn-rate
     #: gauges; 0.99 = a 1% error budget.
     slo_target: float = 0.99
-    #: the burn-rate window pair (seconds): fast shows "bleeding now",
-    #: slow shows "budget spent over the period".
-    slo_fast_window_s: float = 60.0
-    slo_slow_window_s: float = 3600.0
     #: latency objective: an ok answer slower than this still counts
     #: *bad* for the SLO (``None`` = outcome-only SLO).
     slo_latency_s: float | None = None
-    #: injectable clock for the SLO windows (tests); ``None`` = monotonic.
-    slo_clock: Callable[[], float] | None = None
 
     def degrade_threshold(self) -> int:
         return max(1, int(self.max_inflight * self.degrade_at))
@@ -537,12 +530,7 @@ class MultiLogServer:
         if self.config.audit:
             self.audit = self.root.enable_audit()
         self.stats = ServingStats()
-        self.stats.slo = SLOTracker(
-            target=self.config.slo_target,
-            fast_window_s=self.config.slo_fast_window_s,
-            slow_window_s=self.config.slo_slow_window_s,
-            clock=(self.config.slo_clock
-                   if self.config.slo_clock is not None else time.monotonic))
+        self.stats.slo = SLOTracker(target=self.config.slo_target)
         self.access_log: AccessLog | None = None
         if self.config.access_log is not None:
             self.access_log = AccessLog(
@@ -561,7 +549,6 @@ class MultiLogServer:
                         or self.slow_log is not None)
         self.pool = SessionPool(
             self.root,
-            max_per_clearance=self.config.max_sessions_per_clearance,
             on_create=self._setup_session,
             on_wait=self._observe_pool_wait)
         self._rw = _ReadWriteLock()

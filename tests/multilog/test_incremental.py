@@ -21,7 +21,6 @@ import pytest
 from repro.datalog import ColumnarDatabase, evaluate
 from repro.multilog import MultiLogSession, translate
 from repro.multilog.ast import MultiLogDatabase
-from repro.multilog.parser import parse_clause, parse_database
 from repro.obs.audit import AuditLog
 from repro.workloads.generator import random_multilog_database
 
@@ -190,52 +189,6 @@ class TestFallbacks:
         session.ask(QUERY, engine="reduction")
         assert_equals_scratch(session)
         assert built(session, "evaluate")["reason"] == "negation:outranked@s"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_retracted_trial_translation_is_never_extended(backend):
-    """A translation built at a trial add that was retracted must not
-    serve, or be extended into, the version that reuses its number."""
-    db = parse_database(ACCOUNTS)
-    translate(db, "s", backend=backend).model()
-    trial = parse_clause("s[acct(mallory : balance -s-> 1)].")
-    db.add(trial)
-    assert translate(db, "s", backend=backend).model().rows("rel")
-    db.retract(trial)
-    kept = parse_clause("s[acct(carol : balance -s-> 7)].")
-    db.add(kept)  # the trial's version number
-    reduced = translate(db, "s", backend=backend)
-    assert reduced.translates(db)
-    keys = {row[1] for row in reduced.model().rows("rel")}
-    assert "carol" in keys and "mallory" not in keys
-    assert translate(db, "s", backend=backend) is reduced
-
-    # The same trial, retracted, then two commits: the stale memo entry
-    # is the trial's translation, which the next version must not extend.
-    db.add(trial)
-    translate(db, "s", backend=backend).model()
-    db.retract(trial)
-    db.add(parse_clause("s[acct(dan : balance -s-> 2)]."))
-    db.add(parse_clause("s[acct(erin : balance -s-> 3)]."))
-    reduced = translate(db, "s", backend=backend)
-    keys = {row[1] for row in reduced.model().rows("rel")}
-    assert {"dan", "erin"} <= keys and "mallory" not in keys
-    assert rows_by_predicate(reduced.model()) == \
-        rows_by_predicate(evaluate(reduced.program, naive=True))
-
-
-def test_stale_predecessor_is_named_on_the_span():
-    db = parse_database(ACCOUNTS)
-    session = MultiLogSession(db, clearance="s")
-    session.ask(QUERY, engine="reduction")
-    trial = parse_clause("s[acct(mallory : balance -s-> 1)].")
-    db.add(trial)
-    translate(db, "s", backend=session.backend).model()
-    db.retract(trial)
-    session.assert_clause("s[acct(carol : balance -s-> 7)].")
-    session.ask(QUERY, engine="reduction")
-    assert built(session, "tau-translate")["reason"] == "stale-predecessor"
-    assert_equals_scratch(session)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

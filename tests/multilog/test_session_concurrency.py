@@ -1,6 +1,6 @@
 """Regression tests for the session concurrency fixes.
 
-Three historical bugs, one test module:
+Four historical bugs, one test module:
 
 * concurrent ``ask()`` on one session used to race the shared per-ask
   state (recorder, stats, engine caches) -- sessions are now
@@ -13,7 +13,12 @@ Three historical bugs, one test module:
 * a failure between the version check and the cache rebuild used to
   leave ``_cache_version`` bumped past caches that were never rebuilt,
   pinning a stale engine forever.  Revalidation now commits the
-  version *last*.
+  version *last*;
+* an assert used to add its clause to the shared database on trial and
+  take it back when validation failed, restoring the old version
+  number: a sibling asking in between cached the rejected clause under
+  a number the next committed clause then reused.  An assert now
+  validates against a candidate copy and appends only what it admits.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import threading
 import pytest
 
 import repro.multilog.session as session_mod
-from repro.errors import SessionBusyError
+from repro.errors import AdmissibilityError, SessionBusyError
 from repro.multilog.session import MultiLogSession
 from repro.workloads.d1 import D1_SOURCE
 
@@ -248,9 +253,10 @@ def test_one_admissibility_check_per_version(monkeypatch):
 
 
 def test_rejected_assert_publishes_no_context(tmp_path, monkeypatch):
-    """A rejected trial add restores the old version number; a context
-    validated at that trial version must not be served once a different
-    mutation reuses the number."""
+    """A rejected assert never reaches the database, so the context
+    validated for it is never published: the next mutation takes the
+    version the rejected clause would have had, and a reader at that
+    version must see that mutation's lattice, not the rejected one's."""
     from repro.errors import JournalError
     from repro.multilog.parser import parse_clause
 
@@ -262,12 +268,53 @@ def test_rejected_assert_publishes_no_context(tmp_path, monkeypatch):
     def full_disk(text, version):
         raise JournalError("disk full")
 
-    # Admissible, so the trial context is built -- with level x in it --
+    # Admissible, so a context is validated -- with level x in it --
     # and then the journal append rejects the clause.
     monkeypatch.setattr(writer.journal, "append_clause", full_disk)
     with pytest.raises(JournalError):
         writer.assert_clause("level(x).")
-    # Another mutation takes the trial's version number.
+    # Another mutation takes the rejected clause's version number.
     reader.database.add(parse_clause("u[p(k4 : a -u-> 4)]."))
     assert any(answer.get("K") == "k4" for answer in reader.ask(ASK))
     assert "x" not in reader.lattice.levels
+
+
+# -- append only what is admitted ---------------------------------------
+
+def keys(answers: list[dict]) -> set:
+    return {answer["K"] for answer in answers}
+
+
+@pytest.mark.parametrize("backend", ("dict", "columnar"))
+@pytest.mark.parametrize("engine", ("operational", "reduction"))
+def test_rejected_assert_is_never_served(monkeypatch, backend, engine):
+    """A sibling that asks while an assert is validated, and a sibling
+    made after the assert is rejected, serve committed clauses only; the
+    database version never goes down."""
+    reader = MultiLogSession(D1_SOURCE, clearance="s", backend=backend)
+    writer = reader.with_clearance("s")
+    database = reader.database
+    versions = [database.version]
+    during: list[set] = []
+    real = session_mod.admit_clause
+
+    def ask_then_reject(context, clause):
+        real(context, clause)
+        versions.append(database.version)
+        during.append(keys(reader.ask(ASK, engine=engine)))
+        raise AdmissibilityError("rejected after a sibling asked")
+
+    monkeypatch.setattr(session_mod, "admit_clause", ask_then_reject)
+    with pytest.raises(AdmissibilityError):
+        writer.assert_clause("u[p(bob : a -u-> 1)].")
+    versions.append(database.version)
+    monkeypatch.setattr(session_mod, "admit_clause", real)
+    writer.assert_clause("u[p(carol : a -u-> 2)].")
+    versions.append(database.version)
+
+    assert during == [{"k"}]
+    assert versions == sorted(versions)
+    assert versions[-1] == versions[0] + 1
+    fresh = reader.with_clearance("s")
+    for session in (reader, fresh):
+        assert keys(session.ask(ASK, engine=engine)) == {"k", "carol"}

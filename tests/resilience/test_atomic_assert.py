@@ -79,10 +79,14 @@ class TestAtomicRejection:
     def test_accepted_clause_is_fsynced_before_ack(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         session = MultiLogSession(SOURCE, clearance="s", journal=path)
+        with pytest.raises(AdmissibilityError):
+            session.assert_clause(INADMISSIBLE)
         session.assert_clause("u[acct(bob : name -u-> bob)].")
         last = json.loads(path.read_text().splitlines()[-1])
         assert last["type"] == "clause"
         assert last["version"] == session.database.version
+        recovered = MultiLogSession.recover(path, clearance="s")
+        assert recovered.database.version == session.database.version
 
     def test_sibling_session_caches_survive_rejection(self):
         base = MultiLogSession(SOURCE, clearance="s")
