@@ -313,14 +313,12 @@ class Shell:
         """Carry telemetry/audit state across a session swap.
 
         ``:clearance`` and ``:load`` rebuild the session; the shell's
-        histograms, sink, sampling and audit trail are user-visible state
+        histograms, sink and audit trail are user-visible state
         that must survive the swap (the audit trail in particular is one
         continuous record of the shell's cross-level reads).
         """
         self.session._histograms = previous._histograms
         self.session._sink = previous._sink
-        self.session._sample_rate = previous._sample_rate
-        self.session._sample_rng = previous._sample_rng
         self.session._audit = previous._audit
 
     def _query(self, text: str) -> str:

@@ -38,12 +38,10 @@ lets one least model serve every reader at a clearance).
 from __future__ import annotations
 
 import dataclasses
-import random
 import threading
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from time import perf_counter
 
 from repro.cache import VersionedMemo
 from repro.datalog.engine import evaluate
@@ -80,7 +78,7 @@ from repro.obs.context import ObsContext, current as _current_obs, use as _use_o
 from repro.obs.explain import explain_program
 from repro.obs.histogram import HistogramSet
 from repro.obs.metrics import EngineMetrics, MetricsCollector
-from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.obs.trace import TraceRecorder
 
 #: Level injected when a program declares no lattice at all -- the
 #: degenerate Datalog case of Proposition 6.1 ("perhaps system").
@@ -147,12 +145,10 @@ class MultiLogSession:
         #: Concurrent callers hold sessions exclusively (one sibling per
         #: worker, or the serving layer's pool checkout).
         self._flight_lock = threading.Lock()
-        #: telemetry (off by default): latency histograms per span family,
-        #: an optional streaming sink, and head-based trace sampling.
+        #: telemetry (off by default): latency histograms per span family
+        #: and an optional streaming sink.
         self._histograms: HistogramSet | None = None
         self._sink = None
-        self._sample_rate = 1.0
-        self._sample_rng: random.Random | None = None
         #: security-audit trail (off by default; :meth:`enable_audit`).
         self._audit: AuditLog | None = None
         #: armed :class:`~repro.resilience.FaultPlan` (chaos testing); asks
@@ -389,28 +385,14 @@ class MultiLogSession:
         """
         if engine not in ("operational", "reduction"):
             raise MultiLogError(f"unknown engine {engine!r}; use 'operational' or 'reduction'")
-        # Head-based sampling: decide before any span exists.  Unsampled
-        # asks run under the null recorder (no span allocation at all) but
-        # still feed the ``query`` latency family from a manual timer, so
-        # the headline percentiles stay exact while per-phase families
-        # come from the sampled traces only.
-        sampled = True
-        if self._sample_rate < 1.0:
-            draw = (self._sample_rng.random() if self._sample_rng is not None
-                    else random.random())
-            sampled = draw < self._sample_rate
         # The ambient context is consulted for cross-cutting concerns the
         # caller threaded around the public signature: an armed fault
         # plan, and (serving) the request span this ask should parent
         # its trace under -- the server copies its contextvars into the
         # executor offload precisely so this read sees them.
         ambient = _current_obs()
-        if sampled:
-            recorder = TraceRecorder(histograms=self._histograms,
-                                     sink=self._sink,
-                                     parent=ambient.parent_span)
-        else:
-            recorder = NULL_RECORDER
+        recorder = TraceRecorder(histograms=self._histograms, sink=self._sink,
+                                 parent=ambient.parent_span)
         meter = self.budget.meter() if self.budget is not None else None
         faults = self._fault_plan if self._fault_plan is not None \
             else ambient.faults
@@ -421,7 +403,6 @@ class MultiLogSession:
         # when no plan is armed): session-level spans must announce through
         # it so ``query``/``parse`` are injectable fault points too.
         spans = ctx.recorder
-        started = perf_counter() if self._histograms is not None else 0.0
         try:
             with _use_obs(ctx):
                 with spans.span("query", engine=engine) as span:
@@ -453,8 +434,6 @@ class MultiLogSession:
             # ``last_trace()`` then show where the ask died.
             self._finish_ask(recorder, metrics, query, served=False)
             raise
-        if self._histograms is not None and not sampled:
-            self._histograms.observe("query", perf_counter() - started)
         self._finish_ask(recorder, metrics, query)
         return answers
 
@@ -538,26 +517,17 @@ class MultiLogSession:
         return self._last_metrics
 
     # ------------------------------------------------------------------
-    def enable_telemetry(self, sample_rate: float = 1.0, sink=None,
-                         seed: int | None = None) -> HistogramSet:
+    def enable_telemetry(self, sink=None) -> HistogramSet:
         """Switch on latency histograms (and optionally a span sink).
 
         Every subsequent ask feeds per-span-family histograms readable via
-        :attr:`histograms` / :meth:`metrics_text`.  ``sample_rate`` < 1
-        enables head-based trace sampling: unsampled asks skip span
-        allocation entirely (their ``query`` latency is still observed
-        from a plain timer, so the headline percentiles stay exact).
-        ``sink`` is a :class:`~repro.obs.export.TelemetrySink` receiving
-        each sampled root span; ``seed`` makes the sampling decisions
-        reproducible.
+        :attr:`histograms` / :meth:`metrics_text`.  ``sink`` is a
+        :class:`~repro.obs.export.TelemetrySink` receiving each ask's
+        root span.
         """
-        if not 0.0 <= sample_rate <= 1.0:
-            raise MultiLogError(f"sample_rate must be in [0, 1], got {sample_rate!r}")
         if self._histograms is None:
             self._histograms = HistogramSet()
         self._sink = sink
-        self._sample_rate = sample_rate
-        self._sample_rng = random.Random(seed) if seed is not None else None
         return self._histograms
 
     @property

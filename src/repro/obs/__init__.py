@@ -36,9 +36,7 @@ security-audit / provenance subsystem:
 Wiring happens through the ambient :class:`ObsContext`
 (:mod:`~repro.obs.context`): install one with :func:`use` (or let
 ``MultiLogSession.ask`` do it) and every engine underneath reports into
-it.  Head-based trace sampling is per session
-(``MultiLogSession.enable_telemetry(sample_rate=...)``).
-``docs/OBSERVABILITY.md`` has the full model and CLI examples.
+it.  ``docs/OBSERVABILITY.md`` has the full model and CLI examples.
 """
 
 from repro.obs.audit import (

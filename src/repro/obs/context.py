@@ -44,10 +44,6 @@ class ObsContext:
     ``parent``, so engine/stratum spans nest under the request that
     caused them.  It never affects :attr:`enabled`: parenting is a
     correlation hint, not an instrumentation switch.
-
-    Head-based trace sampling is the session's
-    (``MultiLogSession.enable_telemetry(sample_rate=...)``): an unsampled
-    ask is handed the null recorder before its context is built.
     """
 
     __slots__ = ("recorder", "metrics", "meter", "faults", "audit",

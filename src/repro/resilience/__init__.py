@@ -24,9 +24,8 @@ model):
   quarantine into a sidecar file, and a structured
   :class:`RecoveryReport` from ``MultiLogSession.recover(path)``, which
   replays the journal and re-checks Definitions 5.3/5.4 on the
-  recovered database.  :class:`CheckpointPolicy`
-  (:mod:`~repro.resilience.checkpoint`) decides when the serving
-  layer's background checkpointer compacts.
+  recovered database.  The serving layer compacts it inside the assert
+  that crosses ``ServerConfig.checkpoint_due``'s thresholds.
 
 The error taxonomy lives in :mod:`repro.errors`:
 :func:`~repro.errors.is_transient` separates retryable faults
@@ -47,7 +46,6 @@ from repro.resilience.faults import (
     FaultSpec,
     InjectingRecorder,
 )
-from repro.resilience.checkpoint import CheckpointPolicy
 from repro.resilience.journal import (
     JOURNAL_FAULT_POINTS,
     QuarantinedRecord,
@@ -57,7 +55,6 @@ from repro.resilience.journal import (
 )
 
 __all__ = [
-    "CheckpointPolicy",
     "FaultPlan",
     "FaultSpec",
     "InjectingRecorder",

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,12 +215,10 @@ class SessionJournal:
         #: next sequence number to write (lazily derived from the file).
         self._next_seq: int | None = None
         #: clause records appended since the last snapshot/compaction
-        #: (lazily derived; drives checkpoint policies).  Guarded by
-        #: ``_counter_lock``: appends increment it on whichever worker
-        #: thread holds the serving write lock while the checkpoint
-        #: poller reads it from its own thread.
+        #: (lazily derived; drives the checkpoint threshold).  Only the
+        #: thread that appends touches it -- the serving layer reads it
+        #: inside the assert that grew it, under its write lock.
         self._clauses_since_snapshot: int | None = None
-        self._counter_lock = threading.Lock()
         #: set when a failed append could not be truncated back out: the
         #: partial line is still on disk, and appending after it would
         #: merge into it and turn an isolated torn tail into fatal
@@ -255,8 +252,7 @@ class SessionJournal:
             self._file = open(self.path, "a", encoding="utf-8")
             if fresh:
                 self._next_seq = 1
-                with self._counter_lock:
-                    self._clauses_since_snapshot = 0
+                self._clauses_since_snapshot = 0
                 self._write_record({"type": "open", "format": FORMAT})
         return self._file
 
@@ -264,9 +260,8 @@ class SessionJournal:
         if self._next_seq is None:
             scan = self.scan()
             self._next_seq = scan.last_seq + 1
-            with self._counter_lock:
-                if self._clauses_since_snapshot is None:
-                    self._clauses_since_snapshot = scan.clauses_since_snapshot
+            if self._clauses_since_snapshot is None:
+                self._clauses_since_snapshot = scan.clauses_since_snapshot
         seq = self._next_seq
         self._next_seq = seq + 1
         return seq
@@ -340,9 +335,8 @@ class SessionJournal:
         except OSError as exc:
             raise JournalError(
                 f"{self.path}: journal append failed: {exc}") from exc
-        with self._counter_lock:
-            if self._clauses_since_snapshot is not None:
-                self._clauses_since_snapshot += 1
+        if self._clauses_since_snapshot is not None:
+            self._clauses_since_snapshot += 1
 
     def snapshot(self, db) -> None:
         """Append a full-database snapshot record (non-compacting)."""
@@ -355,8 +349,7 @@ class SessionJournal:
         except OSError as exc:
             raise JournalError(
                 f"{self.path}: journal snapshot failed: {exc}") from exc
-        with self._counter_lock:
-            self._clauses_since_snapshot = 0
+        self._clauses_since_snapshot = 0
 
     def compact(self, db) -> None:
         """Atomically replace the journal with one snapshot of ``db``.
@@ -373,8 +366,7 @@ class SessionJournal:
         # 1-2 and a stale counter would make the next append a sequence
         # gap.  ``None`` forces the next append to rescan.
         self._next_seq = None
-        with self._counter_lock:
-            self._clauses_since_snapshot = None
+        self._clauses_since_snapshot = None
         tmp = self.path.with_name(self.path.name + ".tmp")
         try:
             self._probe("journal-compact-write")
@@ -397,8 +389,7 @@ class SessionJournal:
                 f"{self.path}: journal compaction failed: {exc}") from exc
         self._fsync_dir()
         self._next_seq = 3
-        with self._counter_lock:
-            self._clauses_since_snapshot = 0
+        self._clauses_since_snapshot = 0
         # The journal is a fresh snapshot file: any unhealed residue of
         # a failed append went with the old file.
         self._poisoned = None
@@ -425,21 +416,14 @@ class SessionJournal:
     def checkpoint_stats(self) -> tuple[int, int]:
         """``(clauses since last snapshot, journal size in bytes)``.
 
-        Drives :class:`~repro.resilience.CheckpointPolicy` decisions;
-        cheap after the first call (a counter and one ``stat``).  Safe
-        to call from the checkpoint poller's thread while appends run on
-        another: the counter is read under ``_counter_lock`` (a scan
-        racing an in-flight append may see its torn line as a would-be
-        torn tail, which only mistimes one poll -- tolerable).
+        Feeds ``ServerConfig.checkpoint_due``; cheap after the first
+        call (a counter and one ``stat``).  Call it from the thread that
+        appends, with appends excluded -- the serving layer does so
+        inside the assert that grew the journal, under its write lock.
         """
-        with self._counter_lock:
-            clauses = self._clauses_since_snapshot
-        if clauses is None:
-            scanned = self.scan().clauses_since_snapshot
-            with self._counter_lock:
-                if self._clauses_since_snapshot is None:
-                    self._clauses_since_snapshot = scanned
-                clauses = self._clauses_since_snapshot
+        if self._clauses_since_snapshot is None:
+            self._clauses_since_snapshot = self.scan().clauses_since_snapshot
+        clauses = self._clauses_since_snapshot
         try:
             size = self.path.stat().st_size
         except OSError:

@@ -125,8 +125,3 @@ class SessionPool:
             }
             for level, created in sorted(self._created.items())
         }
-
-    def sessions(self) -> list:
-        """Every *free* pooled session (for aggregation; busy ones are
-        their holders' business)."""
-        return [session for free in self._free.values() for session in free]

@@ -19,8 +19,11 @@ Architecture (docs/SERVING.md has the full walkthrough)::
   existing version counter; the engine caches are already keyed on it).
 * **Writes** (``assert``) take the write side -- they wait for in-flight
   reads to drain, run one at a time, and go through
-  ``MultiLogSession.assert_clause`` so Definition 5.3 validation,
-  atomic rollback and the PR 4 write-ahead journal all apply unchanged.
+  ``MultiLogSession.assert_clause`` so Definition 5.3 validation and
+  the write-ahead journal apply unchanged: a clause is validated and
+  journaled before the shared database takes it.  The assert that
+  grows the journal past a checkpoint threshold compacts it in the
+  same hop, still under the write lock.
   The lock is write-preferring: a waiting writer blocks new readers, so
   sustained ask traffic cannot starve asserts.
 * **Admission control** keeps the queue bounded instead of letting load
@@ -44,7 +47,6 @@ Architecture (docs/SERVING.md has the full walkthrough)::
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
 import dataclasses
 import functools
@@ -79,7 +81,6 @@ from repro.obs.trace import (
     new_trace_id,
     parse_traceparent,
 )
-from repro.resilience.checkpoint import CheckpointPolicy
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.pool import SessionPool
 from repro.serving.protocol import (
@@ -145,8 +146,6 @@ class ServerConfig:
     checkpoint_records: int | None = 1000
     #: ... or once the journal file exceeds this many bytes.
     checkpoint_bytes: int | None = 4 * 1024 * 1024
-    #: cadence of the background checkpointer's threshold poll.
-    checkpoint_poll_s: float = 0.25
     #: how long :meth:`MultiLogServer.drain` waits for inflight requests.
     drain_timeout_s: float = 10.0
     #: request-scoped tracing: every ask/assert runs under a root span
@@ -179,9 +178,16 @@ class ServerConfig:
     def degrade_threshold(self) -> int:
         return max(1, int(self.max_inflight * self.degrade_at))
 
-    def checkpoint_policy(self) -> CheckpointPolicy:
-        return CheckpointPolicy(max_records=self.checkpoint_records,
-                                max_bytes=self.checkpoint_bytes)
+    def checkpoint_due(self, records: int, size_bytes: int) -> bool:
+        """Has the journal crossed either checkpoint threshold?
+
+        The thresholds are disjunctive; ``None`` disables one, and with
+        both disabled no checkpoint is ever due.
+        """
+        return ((self.checkpoint_records is not None
+                 and records >= self.checkpoint_records)
+                or (self.checkpoint_bytes is not None
+                    and size_bytes >= self.checkpoint_bytes))
 
 
 class ServingStats:
@@ -451,6 +457,27 @@ class _Connection:
     timeout_s: float | None = None
 
 
+def _cancel_on_hang_up(cancel: threading.Event,
+                       read_ahead: "asyncio.Future[bytes]") -> None:
+    """Read-ahead done callback: flip ``cancel`` if the peer hung up.
+
+    ``read_ahead`` is the connection loop's read of the *next* request;
+    it ending at EOF or in a connection error while the current request
+    is served means the client is gone.  ``LimitOverrunError`` and
+    ``ValueError`` say only that the next pipelined line is oversized or
+    unframed: the peer is still owed the current response, and the loop
+    answers ``line-too-long`` after it.  A cancelled read flips nothing.
+    """
+    if read_ahead.cancelled():
+        return
+    exc = read_ahead.exception()
+    # IncompleteReadError is an EOFError; ConnectionResetError and
+    # BrokenPipeError are OSErrors -- all mean the peer is gone.
+    if (isinstance(exc, (EOFError, OSError))
+            or (exc is None and not read_ahead.result())):
+        cancel.set()
+
+
 class _RequestScope:
     """Per-request observability state: trace ids, root span, breakdown.
 
@@ -571,7 +598,6 @@ class MultiLogServer:
         #: graceful-shutdown flag: set by :meth:`drain`, checked by
         #: admission control and ``/healthz``.
         self._draining = False
-        self._checkpoint_task: asyncio.Task | None = None
 
     def _setup_session(self, session: MultiLogSession) -> None:
         """Wire a fresh pooled sibling into the server-wide observability."""
@@ -588,11 +614,6 @@ class MultiLogServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
             limit=self.config.max_line_bytes + 2)
-        if (self.root.journal is not None
-                and self.config.checkpoint_policy().enabled
-                and self._checkpoint_task is None):
-            self._checkpoint_task = asyncio.ensure_future(
-                self._checkpoint_loop())
         return self.address
 
     async def start_http(self, host: str | None = None,
@@ -642,11 +663,6 @@ class MultiLogServer:
         await server.serve_forever()
 
     async def stop(self) -> None:
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._checkpoint_task
-            self._checkpoint_task = None
         for server in (self._server, self._http_server):
             if server is not None:
                 server.close()
@@ -675,11 +691,6 @@ class MultiLogServer:
         if timeout_s is None:
             timeout_s = self.config.drain_timeout_s
         self._draining = True
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._checkpoint_task
-            self._checkpoint_task = None
         for server in (self._server, self._http_server):
             if server is not None:
                 server.close()
@@ -708,35 +719,41 @@ class MultiLogServer:
             return "degraded"
         return "healthy"
 
-    # -- background checkpointing --------------------------------------
-    async def _checkpoint_loop(self) -> None:
-        """Poll the journal's accumulation; compact when the policy says.
+    # -- checkpointing ------------------------------------------------
+    def _compact(self, journal) -> bool:
+        """Compact ``journal`` on a worker thread; False if it failed.
 
-        Runs as a background task for the server's lifetime.  The
-        threshold check runs on a worker thread (it stats the file); the
-        compaction itself runs under the write lock so no assert is
-        mid-flight while the journal is replaced -- SIGKILL at any
-        instant leaves either the old journal or the new snapshot.
+        Callers hold the write lock, so no assert is mid-flight while
+        the journal is replaced -- SIGKILL at any instant leaves either
+        the old journal or the new snapshot.  A failure is reported,
+        never raised: the clauses it would have folded stay journaled.
         """
+        try:
+            journal.compact(self.root.database)
+        except Exception:  # noqa: BLE001 -- checkpointing must not kill
+            return False
+        return True
+
+    def _assert_clause(self, session: MultiLogSession, clause: str,
+                       strict: bool) -> bool | None:
+        """One assert on a worker thread, then the checkpoint it made due.
+
+        Returns ``None`` when no checkpoint was due, else whether the
+        compaction succeeded.  The checkpoint counter is read here, by
+        the thread that just appended to it, under the write lock.
+        """
+        session.assert_clause(clause, strict=strict)
         journal = self.root.journal
-        if journal is None:
-            return
-        policy = self.config.checkpoint_policy()
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.config.checkpoint_poll_s)
-            due = await loop.run_in_executor(
-                self._threads,
-                functools.partial(self._checkpoint_due, journal, policy))
-            if due:
-                await self.checkpoint()
+        if journal is None or not self.config.checkpoint_due(
+                *journal.checkpoint_stats()):
+            return None
+        return self._compact(journal)
 
-    def _checkpoint_due(self, journal, policy: CheckpointPolicy) -> bool:
-        records, size = journal.checkpoint_stats()
-        return policy.due(records, size)
-
-    def _checkpoint_sync(self, journal) -> None:
-        journal.compact(self.root.database)
+    def _count_checkpoint(self, compacted: bool) -> None:
+        if compacted:
+            self.stats.checkpoints_total += 1
+        else:
+            self.stats.checkpoint_failures_total += 1
 
     async def checkpoint(self) -> bool:
         """Compact the journal now (under the write lock); True on success."""
@@ -745,15 +762,10 @@ class MultiLogServer:
             return False
         loop = asyncio.get_running_loop()
         async with self._rw.write():
-            try:
-                await loop.run_in_executor(
-                    self._threads,
-                    functools.partial(self._checkpoint_sync, journal))
-            except Exception:  # noqa: BLE001 -- checkpointing must not kill
-                self.stats.checkpoint_failures_total += 1
-                return False
-        self.stats.checkpoints_total += 1
-        return True
+            compacted = await loop.run_in_executor(self._threads,
+                                                   self._compact, journal)
+        self._count_checkpoint(compacted)
+        return compacted
 
     # -- framed-protocol connection handling ---------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -797,19 +809,17 @@ class MultiLogServer:
                 # Read ahead before serving: the pending readline is both
                 # the pipelining queue (a client may send its next request
                 # without waiting) and the disconnect probe -- it resolving
-                # to EOF mid-request means the peer is gone, so the
-                # watcher flips the cancel event and the evaluation aborts
+                # to EOF mid-request means the peer is gone, so its done
+                # callback flips the cancel event and the evaluation aborts
                 # inside the engine instead of burning a worker thread.
                 next_line = asyncio.ensure_future(reader.readline())
                 cancel = threading.Event()
-                watcher = asyncio.ensure_future(
-                    self._peer_watch(next_line, cancel))
+                on_done = functools.partial(_cancel_on_hang_up, cancel)
+                next_line.add_done_callback(on_done)
                 try:
                     response = await self.handle_line(line, conn, cancel)
                 finally:
-                    watcher.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await watcher
+                    next_line.remove_done_callback(on_done)
                 writer.write(encode_message(response))
                 await writer.drain()
                 if conn.closing:
@@ -833,35 +843,6 @@ class MultiLogServer:
             except (ConnectionResetError, BrokenPipeError, OSError,
                     asyncio.CancelledError):
                 pass
-
-    async def _peer_watch(self, read_task: "asyncio.Task[bytes]",
-                          cancel: threading.Event) -> None:
-        """Flip ``cancel`` if the pending read resolves to EOF/error.
-
-        ``read_task`` is the connection loop's read-ahead for the *next*
-        request; it completing empty while the current request is being
-        served means the client hung up.  Shielded so cancelling the
-        watcher (the normal end of every request) leaves the read-ahead
-        running.
-        """
-        try:
-            line = await asyncio.shield(read_task)
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionResetError, BrokenPipeError, EOFError, OSError):
-            # IncompleteReadError is an EOFError; Connection*/BrokenPipe
-            # are OSErrors -- all mean the peer is gone.
-            cancel.set()
-            return
-        except Exception:  # noqa: BLE001
-            # LimitOverrunError/ValueError: the *next* pipelined line is
-            # oversized or unframed.  The peer is still connected and
-            # still owed the current response, so don't cancel; the
-            # connection loop answers line-too-long and hangs up after
-            # the in-flight request completes.
-            return
-        if not line:
-            cancel.set()
 
     async def handle_line(self, line: bytes, conn: _Connection | None = None,
                           cancel: threading.Event | None = None) -> dict:
@@ -1241,8 +1222,8 @@ class MultiLogServer:
                             run = functools.partial(run_ctx.run, run)
                     else:
                         run = functools.partial(
-                            session.assert_clause, request["clause"],
-                            strict=bool(request.get("strict")))
+                            self._assert_clause, session, request["clause"],
+                            bool(request.get("strict")))
                     engine_started = perf_counter()
                     result = await loop.run_in_executor(self._threads, run)
                     if scope is not None:
@@ -1255,6 +1236,8 @@ class MultiLogServer:
             breaker.record_success()
             if not ask:
                 self.stats.asserts_total += 1
+                if result is not None:
+                    self._count_checkpoint(result)
                 return ok_response(request_id, version=version)
             self.stats.asks_total += 1
             answers, complete, degraded = result

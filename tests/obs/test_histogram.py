@@ -104,46 +104,3 @@ class TestSessionTelemetry:
         families = session.histograms.families()
         assert "tau-translate" in families
         assert any(f.startswith("evaluate[") for f in families)
-
-    def test_sampling_skips_spans_but_counts_query_latency(self):
-        session = MultiLogSession(SOURCE, clearance="s")
-        session.enable_telemetry(sample_rate=0.0, seed=7)
-        session.ask("s[acct(alice : balance -C-> B)] << cau")
-        # Unsampled: no span tree, but the headline family still observed.
-        assert session.last_trace().to_dicts() == []
-        assert session.histograms.get("query").count == 1
-        assert session.histograms.get("parse") is None
-
-    def test_sampling_rate_one_records_everything(self):
-        session = MultiLogSession(SOURCE, clearance="s")
-        session.enable_telemetry(sample_rate=1.0)
-        session.ask("s[acct(alice : balance -C-> B)] << cau")
-        assert session.last_trace().roots
-
-    def test_sampling_is_seed_reproducible(self):
-        def counts(seed):
-            session = MultiLogSession(SOURCE, clearance="s")
-            session.enable_telemetry(sample_rate=0.5, seed=seed)
-            sampled = []
-            for _ in range(12):
-                session.ask("s[acct(alice : balance -C-> B)] << cau")
-                sampled.append(bool(session.last_trace().to_dicts()))
-            return sampled
-
-        assert counts(3) == counts(3)
-
-    def test_invalid_sample_rate_rejected(self):
-        from repro.errors import MultiLogError
-
-        session = MultiLogSession(SOURCE, clearance="s")
-        with pytest.raises(MultiLogError):
-            session.enable_telemetry(sample_rate=1.5)
-
-    def test_stats_survive_unsampled_ask(self):
-        # The metrics side is never sampled away.
-        session = MultiLogSession(SOURCE, clearance="s")
-        session.enable_telemetry(sample_rate=0.0, seed=1)
-        session.ask("s[acct(alice : balance -C-> B)] << cau")
-        stats = session.last_stats()
-        assert stats is not None and stats.asks == 1
-        assert stats.total_firings > 0

@@ -109,27 +109,3 @@ class TestConcurrentSessions:
         for log in logs:
             reads = log.events("cross_level_read")
             assert {(e.subject, e.object) for e in reads} == {("s", "u")}
-
-
-class TestSamplingPerContext:
-    def test_threaded_sampled_sessions_do_not_share_rng_state(self):
-        # Two sessions with the same seed must make identical decisions
-        # even when their asks interleave on different threads.
-        def decisions(session):
-            out = []
-            for _ in range(10):
-                session.ask("s[acct(alice : balance -C-> B)] << cau")
-                out.append(bool(session.last_trace().to_dicts()))
-            return out
-
-        sessions = [MultiLogSession(SOURCE, clearance="s") for _ in range(2)]
-        for session in sessions:
-            session.enable_telemetry(sample_rate=0.5, seed=42)
-        results = {}
-
-        def work(index):
-            results[index] = decisions(sessions[index])
-
-        run_threads(2, work)
-        assert results[0] == results[1]
-        assert True in results[0] and False in results[0]

@@ -1,5 +1,5 @@
-"""Checkpointing under fire: the policy, interrupted compaction (fault
-injection at every write/fsync/rename/dirsync step, plus SIGKILL
+"""Checkpointing under fire: the thresholds, interrupted compaction
+(fault injection at every write/fsync/rename/dirsync step, plus SIGKILL
 subprocess variants), torn snapshots, and automatic checkpoints under
 live serving traffic."""
 
@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.multilog.session import MultiLogSession
-from repro.resilience import CheckpointPolicy, FaultPlan
+from repro.resilience import FaultPlan
 from repro.resilience.journal import SessionJournal, database_source
+from repro.serving import MultiLogServer, ServerConfig
+from repro.workloads.d1 import D1_SOURCE
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -38,29 +40,24 @@ def make_session(tmp_path, n_clauses: int = 5) -> MultiLogSession:
     return session
 
 
-# -- the policy ----------------------------------------------------------
+# -- the thresholds ------------------------------------------------------
 
 class TestCheckpointPolicy:
     def test_due_is_disjunctive_over_records_and_bytes(self):
-        policy = CheckpointPolicy(max_records=10, max_bytes=1000)
-        assert not policy.due(9, 999)
-        assert policy.due(10, 0)
-        assert policy.due(0, 1000)
+        config = ServerConfig(checkpoint_records=10, checkpoint_bytes=1000)
+        assert not config.checkpoint_due(9, 999)
+        assert config.checkpoint_due(10, 0)
+        assert config.checkpoint_due(0, 1000)
 
     def test_none_disables_one_threshold(self):
-        by_bytes = CheckpointPolicy(max_records=None, max_bytes=100)
-        assert not by_bytes.due(10**9, 99)
-        assert by_bytes.due(0, 100)
+        by_bytes = ServerConfig(checkpoint_records=None, checkpoint_bytes=100)
+        assert not by_bytes.checkpoint_due(10**9, 99)
+        assert by_bytes.checkpoint_due(0, 100)
 
     def test_fully_disabled_policy(self):
-        policy = CheckpointPolicy(max_records=None, max_bytes=None)
-        assert not policy.enabled
-        assert not policy.due(10**9, 10**9)
-        assert CheckpointPolicy().enabled
-
-    def test_describe_names_the_thresholds(self):
-        text = CheckpointPolicy(max_records=7, max_bytes=None).describe()
-        assert "7" in text
+        config = ServerConfig(checkpoint_records=None, checkpoint_bytes=None)
+        assert not config.checkpoint_due(10**9, 10**9)
+        assert ServerConfig().checkpoint_due(10**9, 0)
 
 
 # -- interrupted compaction (in-process fault injection) ------------------
@@ -185,36 +182,29 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def wait_for(predicate, timeout: float = 10.0):
-    deadline = asyncio.get_running_loop().time() + timeout
-    while not predicate():
-        if asyncio.get_running_loop().time() > deadline:
-            raise AssertionError("condition never became true")
-        await asyncio.sleep(0.01)
+async def assert_clause(server: MultiLogServer, clause: str) -> dict:
+    return await server.dispatch(
+        {"op": "assert", "clause": clause, "clearance": "s"})
 
 
 def test_server_checkpoints_automatically_at_the_record_threshold(tmp_path):
-    from repro.serving import MultiLogServer, ServerConfig
-    from repro.workloads.d1 import D1_SOURCE
-
     async def main():
         server = MultiLogServer(D1_SOURCE, ServerConfig(
             clearance="s", journal=str(tmp_path / "wal.jsonl"),
-            checkpoint_records=3, checkpoint_bytes=None,
-            checkpoint_poll_s=0.01))
+            checkpoint_records=3, checkpoint_bytes=None))
         await server.start()
         try:
-            for i in range(4):
-                ok = await server.dispatch(
-                    {"op": "assert", "clause": f"u[p(c{i} : a -u-> {i})].",
-                     "clearance": "s"})
+            for i in range(3):
+                ok = await assert_clause(server, f"u[p(c{i} : a -u-> {i})].")
                 assert ok["ok"] is True
-            await wait_for(lambda: server.stats.checkpoints_total >= 1)
+            # The third assert made the checkpoint due and took it before
+            # its response went out.
+            assert server.stats.checkpoints_total == 1
+            assert server.root.journal.checkpoint_stats()[0] == 0
             # Traffic keeps flowing across a checkpoint...
-            ok = await server.dispatch(
-                {"op": "assert", "clause": "u[p(c9 : a -u-> 9)].",
-                 "clearance": "s"})
+            ok = await assert_clause(server, "u[p(c9 : a -u-> 9)].")
             assert ok["ok"] is True
+            assert server.stats.checkpoints_total == 1
             ask = await server.dispatch(
                 {"op": "ask", "query": "s[p(K : a -C-> V)] << cau",
                  "clearance": "s"})
@@ -231,9 +221,6 @@ def test_server_checkpoints_automatically_at_the_record_threshold(tmp_path):
 
 
 def test_server_checkpoint_failure_is_counted_not_fatal(tmp_path):
-    from repro.serving import MultiLogServer, ServerConfig
-    from repro.workloads.d1 import D1_SOURCE
-
     async def main():
         server = MultiLogServer(D1_SOURCE, ServerConfig(
             clearance="s", journal=str(tmp_path / "wal.jsonl"),
@@ -252,3 +239,39 @@ def test_server_checkpoint_failure_is_counted_not_fatal(tmp_path):
             await server.stop()
 
     run(main())
+
+
+def test_failed_checkpoint_at_the_threshold_still_acknowledges_the_assert(
+        tmp_path):
+    async def main():
+        server = MultiLogServer(D1_SOURCE, ServerConfig(
+            clearance="s", journal=str(tmp_path / "wal.jsonl"),
+            checkpoint_records=2, checkpoint_bytes=None))
+        await server.start()
+        try:
+            ok = await assert_clause(server, "u[p(c0 : a -u-> 0)].")
+            assert ok["ok"] is True
+            assert server.stats.checkpoints_total == 0
+            plan = FaultPlan()
+            plan.arm("journal-compact-write", action="enospc", times=1)
+            server.root.journal.arm_faults(plan)
+            # The assert that makes the checkpoint due was journaled
+            # before its compaction failed: it is still acknowledged.
+            ok = await assert_clause(server, "u[p(c1 : a -u-> 1)].")
+            assert ok["ok"] is True
+            assert plan.history == [("journal-compact-write", "enospc")]
+            assert server.stats.checkpoint_failures_total == 1
+            assert server.stats.checkpoints_total == 0
+            # The checkpoint is still due, so the next assert takes it.
+            ok = await assert_clause(server, "u[p(c2 : a -u-> 2)].")
+            assert ok["ok"] is True
+            assert server.stats.checkpoints_total == 1
+            assert server.stats.checkpoint_failures_total == 1
+        finally:
+            await server.stop()
+        return server
+
+    server = run(main())
+    replayed = SessionJournal(tmp_path / "wal.jsonl").replay()
+    assert database_source(replayed) == database_source(server.root.database)
+    assert replayed.version == server.root.database.version

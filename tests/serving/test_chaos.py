@@ -142,7 +142,7 @@ def test_disconnect_mid_ask_cancels_the_evaluation():
                          % ASK.encode("ascii"))
             await wait_for(lambda: server.stats.inflight == 1)
             rst_close(sock)  # the client gives up mid-request
-            # The peer-watcher flips the cancel probe; the engine aborts
+            # The hang-up callback flips the cancel probe; the engine aborts
             # instead of finishing a dead request.
             await wait_for(lambda: server.stats.cancelled_total == 1)
             await wait_for(lambda: server.stats.inflight == 0)

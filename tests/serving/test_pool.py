@@ -146,17 +146,3 @@ def test_backend_mixing_is_a_regression_error(root, monkeypatch):
 def test_invalid_cap_rejected(root):
     with pytest.raises(ServingError):
         SessionPool(root, max_per_clearance=0)
-
-
-def test_sessions_lists_only_free_siblings(root):
-    async def main():
-        pool = SessionPool(root)
-        held = await pool.checkout("u")
-        free = await pool.checkout("c")
-        await pool.checkin(free)
-        listed = pool.sessions()
-        assert free in listed
-        assert held not in listed
-        await pool.checkin(held)
-
-    run(main())

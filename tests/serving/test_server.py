@@ -18,6 +18,7 @@ from repro.serving import (
     ServingCallError,
     ServingClient,
 )
+from repro.serving.server import _cancel_on_hang_up
 from repro.workloads.d1 import D1_SOURCE
 
 ASK = "s[p(K : a -C-> V)] << cau"
@@ -146,27 +147,35 @@ def test_peer_watch_distinguishes_overrun_from_disconnect():
     # means the peer is still connected -- only EOF/connection errors
     # may cancel the in-flight request.
     async def main():
-        server = MultiLogServer(D1_SOURCE, clearance="s")
+        loop = asyncio.get_running_loop()
 
-        async def raising(exc):
-            raise exc
-
-        async def eof():
-            return b""
+        def read_ahead(result=None, exc=None):
+            future = loop.create_future()
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+            return future
 
         for exc in (asyncio.LimitOverrunError("chunk too long", 0),
                     ValueError("line too long")):
             cancel = threading.Event()
-            await server._peer_watch(asyncio.ensure_future(raising(exc)),
-                                     cancel)
+            _cancel_on_hang_up(cancel, read_ahead(exc=exc))
             assert not cancel.is_set(), f"{exc!r} is not a disconnect"
-        for make in ((lambda: raising(ConnectionResetError())),
-                     (lambda: raising(asyncio.IncompleteReadError(b"x", 2))),
-                     eof):
+        for future in (read_ahead(exc=ConnectionResetError()),
+                       read_ahead(exc=asyncio.IncompleteReadError(b"x", 2)),
+                       read_ahead(b"")):
             cancel = threading.Event()
-            await server._peer_watch(asyncio.ensure_future(make()), cancel)
+            _cancel_on_hang_up(cancel, future)
             assert cancel.is_set()
-        server._threads.shutdown(wait=False)
+        # A pipelined next request, or a read cancelled as the
+        # connection closes, is no hang-up.
+        pending = loop.create_future()
+        pending.cancel()
+        for future in (read_ahead(b'{"op": "ping"}\n'), pending):
+            cancel = threading.Event()
+            _cancel_on_hang_up(cancel, future)
+            assert not cancel.is_set()
 
     run(main())
 
