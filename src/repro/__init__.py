@@ -45,7 +45,6 @@ from repro.errors import (
     ReproError,
     ResilienceError,
     SchemaError,
-    StrategyFailureError,
     StratificationError,
     TransientFaultError,
     UnknownLevelError,
@@ -77,7 +76,6 @@ __all__ = [
     "ReproError",
     "ResilienceError",
     "SchemaError",
-    "StrategyFailureError",
     "StratificationError",
     "TransientFaultError",
     "UnknownLevelError",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.datalog.atoms import Atom, Literal
+from repro.datalog.builtins import COMPARATORS
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Constant, Variable
 
@@ -117,25 +118,11 @@ def _guard_unsatisfiable(atom: Atom, var_domains: dict) -> bool:
     for x in a:
         for y in b:
             try:
-                if _eval_builtin(op, x, y):
+                if COMPARATORS[op](x, y):
                     return False
             except TypeError:
                 return False
     return True
-
-
-def _eval_builtin(op: str, a, b) -> bool:
-    if op == "=":
-        return bool(a == b)
-    if op == "!=":
-        return bool(a != b)
-    if op == "<":
-        return bool(a < b)
-    if op == "<=":
-        return bool(a <= b)
-    if op == ">":
-        return bool(a > b)
-    return bool(a >= b)
 
 
 def _abstract_body(rule: Rule, domains: dict, nonempty: set):

@@ -42,6 +42,7 @@ import threading
 
 from repro.analysis.diagnostics import AnalysisReport
 from repro.datalog.atoms import Literal
+from repro.datalog.builtins import COMPARATORS
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
 
@@ -223,7 +224,7 @@ def _lint_trivial_guard(atom, report: AnalysisReport, where: str) -> None:
         return
     if isinstance(left, Constant) and isinstance(right, Constant):
         try:
-            verdict = _eval_builtin(atom.predicate, left.value, right.value)
+            verdict = COMPARATORS[atom.predicate](left.value, right.value)
         except TypeError:
             return
         if verdict:
@@ -231,20 +232,6 @@ def _lint_trivial_guard(atom, report: AnalysisReport, where: str) -> None:
                        f"constant guard {atom!r} is always true; the op is dead",
                        location=where,
                        hint="remove the constant comparison")
-
-
-def _eval_builtin(op: str, a, b) -> bool:
-    if op == "=":
-        return bool(a == b)
-    if op == "!=":
-        return bool(a != b)
-    if op == "<":
-        return bool(a < b)
-    if op == "<=":
-        return bool(a <= b)
-    if op == ">":
-        return bool(a > b)
-    return bool(a >= b)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ Enter MultiLog clauses (ending with '.') to assert them, or queries
                             trail on first use)
   :trace on|off             print the span tree after each query
   :faults                   show the armed fault-injection plan
-  :faults raise POINT [transient|permanent|strategy]
+  :faults raise POINT [transient|permanent]
   :faults delay POINT SECONDS
   :faults corrupt POINT     arm a fault at a span point (e.g. stratum[*])
   :faults off               disarm all faults
@@ -237,7 +237,7 @@ class Shell:
         try:
             if verb == "raise":
                 if len(parts) < 2:
-                    return "error: usage :faults raise POINT [transient|permanent|strategy]"
+                    return "error: usage :faults raise POINT [transient|permanent]"
                 error = parts[2] if len(parts) > 2 else "transient"
                 spec = plan.arm(parts[1], action="raise", error=error)
             elif verb == "delay":
@@ -490,14 +490,14 @@ def run_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="multilog run",
         description="Evaluate a MultiLog program's stored queries through "
-                    "the resilience layer (retry / fallback / degrade).")
+                    "the resilience layer (retry, then degrade).")
     parser.add_argument("program", help="MultiLog source file")
     parser.add_argument("--clearance", default=None,
                         help="session clearance (default: lattice top)")
     parser.add_argument("--engine", choices=("operational", "reduction"),
                         default="operational")
     parser.add_argument("--retries", type=int, default=2,
-                        help="max retries per ladder rung for transient faults")
+                        help="max retries of a transient fault per query")
     parser.add_argument("--backoff", type=float, default=0.0,
                         help="base retry backoff in seconds (doubles per retry)")
     parser.add_argument("--timeout", type=float, default=None,

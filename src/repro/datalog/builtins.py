@@ -7,10 +7,20 @@ raises, which surfaces workload bugs instead of silently failing joins.
 
 from __future__ import annotations
 
+import operator
+
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant
 from repro.datalog.unify import Substitution, walk
 from repro.errors import DatalogError
+
+#: each built-in comparison predicate as the Python comparison it means;
+#: an ordered one raises ``TypeError`` on incomparable values.
+COMPARATORS = {
+    "=": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
 
 
 def evaluate_builtin(atom: Atom, subst: Substitution) -> bool:
@@ -24,20 +34,10 @@ def evaluate_builtin(atom: Atom, subst: Substitution) -> bool:
             f"built-in {atom!r} evaluated with unbound argument(s); "
             "safety checking should have rejected this rule"
         )
-    a, b = left.value, right.value
-    if atom.predicate == "=":
-        return a == b
-    if atom.predicate == "!=":
-        return a != b
+    compare = COMPARATORS.get(atom.predicate)
+    if compare is None:
+        raise DatalogError(f"unknown built-in predicate {atom.predicate!r}")
     try:
-        if atom.predicate == "<":
-            return a < b  # type: ignore[operator]
-        if atom.predicate == "<=":
-            return a <= b  # type: ignore[operator]
-        if atom.predicate == ">":
-            return a > b  # type: ignore[operator]
-        if atom.predicate == ">=":
-            return a >= b  # type: ignore[operator]
+        return bool(compare(left.value, right.value))
     except TypeError as exc:
         raise DatalogError(f"incomparable values in {atom!r}: {exc}") from exc
-    raise DatalogError(f"unknown built-in predicate {atom.predicate!r}")

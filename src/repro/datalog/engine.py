@@ -26,8 +26,9 @@ Two evaluations, and the storage backend picks the semi-naive one:
 
 * ``naive=True`` -- re-derive everything each round through the
   :func:`_match_body` interpreter, in the written body order: the
-  textbook baseline, kept as the oracle of the differential tests and
-  as the resilience ladder's fallback rung.  It runs on either backend
+  textbook baseline, kept as the oracle the differential tests check
+  the native plans against, never served in their place.  It runs on
+  either backend
   through the row-level :class:`~repro.datalog.storage.StorageBackend`
   contract.
 """

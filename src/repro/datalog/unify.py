@@ -86,13 +86,3 @@ def match_atom(pattern: Atom, fact_row: tuple[object, ...], subst: Substitution)
                 out = dict(subst)
             out[term] = Constant(value)
     return out if out is not None else dict(subst)
-
-
-def rename_apart(atoms: list[Atom], suffix: str) -> list[Atom]:
-    """Rename every variable in ``atoms`` with a unique suffix."""
-    return [
-        Atom(a.predicate, tuple(
-            t.renamed(suffix) if isinstance(t, Variable) else t for t in a.args
-        ))
-        for a in atoms
-    ]

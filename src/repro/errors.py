@@ -14,8 +14,7 @@ single base class at API boundaries.  Subsystems refine it:
   limit was hit mid-evaluation (any engine).
 * :class:`ResilienceError` and friends -- the transient-vs-permanent
   taxonomy consumed by :mod:`repro.resilience` (retry transient faults,
-  fall down the strategy ladder on strategy failures, propagate
-  permanent errors immediately).
+  propagate permanent errors immediately).
 
 Transience is a property of the *class*: :func:`is_transient` consults
 the ``transient`` class attribute, so user-defined errors can opt into
@@ -133,18 +132,6 @@ class DataCorruptionError(ResilienceError):
     """
 
     transient = True
-
-
-class StrategyFailureError(ResilienceError):
-    """One evaluation strategy failed in a strategy-specific way.
-
-    Signals the :class:`~repro.resilience.ResilientExecutor` to fall
-    back to the ``naive`` rung rather than retry the same rung or give up.
-    """
-
-    def __init__(self, message: str, strategy: str = ""):
-        super().__init__(message)
-        self.strategy = strategy
 
 
 class JournalError(ResilienceError):

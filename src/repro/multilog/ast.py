@@ -26,7 +26,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.datalog.terms import Constant, Term, Variable, make_term
+from repro.datalog.terms import Term, Variable, make_term
 from repro.errors import MultiLogError
 
 #: The distinguished null value inside MultiLog programs.
@@ -346,19 +346,6 @@ class MultiLogDatabase:
         """Pi with body molecules expanded (heads are already p-atoms)."""
         return [atomic for clause in self.plain_clauses
                 for atomic in self.atomize(clause)]
-
-    def security_labels(self) -> set[str]:
-        """Every ground security label mentioned anywhere in the database."""
-        labels: set[str] = set()
-        for clause in self.lattice_clauses:
-            for atom in [clause.head, *clause.body]:
-                if isinstance(atom, LAtom) and isinstance(atom.level, Constant):
-                    labels.add(str(atom.level.value))
-                if isinstance(atom, HAtom):
-                    for t in (atom.low, atom.high):
-                        if isinstance(t, Constant):
-                            labels.add(str(t.value))
-        return labels
 
     def __str__(self) -> str:
         sections = []

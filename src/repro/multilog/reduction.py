@@ -352,7 +352,7 @@ class ReducedProgram:
                     rows.add(tuple(row[:5]))
         return rows
 
-    def audit_once(self, audit, model: Database | None = None) -> None:
+    def audit_once(self, audit) -> None:
         """Walk the model into ``audit`` (:meth:`audit_model`) once per log.
 
         Every session sharing this program would emit the same events, so
@@ -363,9 +363,9 @@ class ReducedProgram:
             if audit in self._audited:
                 return
             self._audited.add(audit)
-        self.audit_model(audit, model)
+        self.audit_model(audit)
 
-    def audit_model(self, audit, model: Database | None = None) -> None:
+    def audit_model(self, audit) -> None:
         """Emit MLS audit events implied by the computed least model.
 
         The reduction path never *enumerates* downward reads while
@@ -376,14 +376,13 @@ class ReducedProgram:
         ``override``.  Only believing levels at or below this program's
         clearance are reported (levels above it are never served).
 
-        ``model`` defaults to :meth:`model`.  Events are counted per
-        distinct event and emitted in sorted order, each once with its
-        count, so the trail does not depend on the order the model's row
-        sets iterate in (which varies with the string hash seed).
+        Events are counted per distinct event and emitted in sorted
+        order, each once with its count, so the trail does not depend on
+        the order the model's row sets iterate in (which varies with the
+        string hash seed).
         """
         lattice = self.context.lattice
-        if model is None:
-            model = self.model()
+        model = self.model()
         # (kind, believer, source or class, predicate, attribute); reads
         # carry no attribute.
         events: Counter[tuple[str, str, str, str, str]] = Counter()
@@ -426,9 +425,9 @@ class ReducedProgram:
         in a fixed order (sorted by row).  The least model is computed once (see :meth:`model`); each query
         only fires its non-recursive ``__answer`` rules against it, so
         repeated asks never re-run the fixpoint.  ``model`` serves the
-        query from a model private to the caller instead -- one built on
-        the fallback rung inside a session's ask, or the partial model a
-        budget abort left behind -- leaving the shared one untouched.
+        query from the partial model a budget abort left behind instead
+        (the resilience executor's salvage), leaving the shared one
+        untouched.
         """
         body = atomize_body(query.body)
         variables = sorted(

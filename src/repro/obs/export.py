@@ -123,11 +123,8 @@ def render_prometheus(metrics: EngineMetrics | None = None,
         counter("retries_total",
                 "Transient-fault retries spent by the resilience executor.",
                 [({}, metrics.retries)])
-        counter("fallbacks_total",
-                "Strategy-ladder fallbacks taken by the resilience executor.",
-                [({}, metrics.fallbacks)])
         counter("degraded_asks_total",
-                "Asks served degraded (fallback rung or budget-partial).",
+                "Asks served degraded (budget-partial answers).",
                 [({}, metrics.degraded_asks)])
         if metrics.cache:
             for kind in ("hits", "misses", "invalidations"):

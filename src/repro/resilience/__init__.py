@@ -11,12 +11,13 @@ model):
   (``evaluate``, ``stratum[i]``, ``rule-fire``, ``beta``,
   ``tau-translate``, ...), so the guarantees below are *tested* by the
   chaos differential suite, not asserted.
-* **Degradation ladder** (:mod:`~repro.resilience.executor`) -- a
+* **Retry, then degrade** (:mod:`~repro.resilience.executor`) -- a
   :class:`ResilientExecutor` wrapping ``evaluate`` and
   ``MultiLogSession.ask``: capped-exponential retry for transient
-  faults, fallback from the backend's native plan to ``naive`` for
-  strategy-specific failures, and, when the caller opts in, a
+  faults on the requested plan and, when the caller opts in, a
   :class:`PartialResult` instead of a raise on budget exhaustion.
+  Every ask the server serves runs through it.  Any other failure
+  propagates: a failing plan is never answered from another one.
 * **Crash-safe journaling** (:mod:`~repro.resilience.journal`) -- a
   write-ahead :class:`SessionJournal` for ``assert_clause`` (validate,
   append-and-fsync, apply; atomic snapshot compaction), now with
@@ -30,8 +31,7 @@ model):
 The error taxonomy lives in :mod:`repro.errors`:
 :func:`~repro.errors.is_transient` separates retryable faults
 (:class:`~repro.errors.TransientFaultError`,
-:class:`~repro.errors.DataCorruptionError`) from permanent ones, and
-:class:`~repro.errors.StrategyFailureError` routes to the ladder.
+:class:`~repro.errors.DataCorruptionError`) from permanent ones.
 """
 
 from repro.resilience.executor import (

@@ -17,12 +17,11 @@ reproducible by construction.  Probabilistic specs draw from the plan's
 own ``random.Random(seed)``, never the global RNG, so a seeded plan
 replays identically.
 
-Three actions:
+Four actions:
 
 * ``raise`` -- raise :class:`~repro.errors.TransientFaultError`
-  (``error="transient"``), :class:`~repro.errors.FaultInjectedError`
-  (``error="permanent"``) or :class:`~repro.errors.StrategyFailureError`
-  (``error="strategy"``);
+  (``error="transient"``) or :class:`~repro.errors.FaultInjectedError`
+  (``error="permanent"``);
 * ``delay`` -- sleep ``delay_s`` (drives wall-clock budgets into
   timeouts without flaky real workloads);
 * ``corrupt`` -- corrupt-and-detect: raise
@@ -46,7 +45,6 @@ from fnmatch import fnmatchcase
 from repro.errors import (
     DataCorruptionError,
     FaultInjectedError,
-    StrategyFailureError,
     TransientFaultError,
 )
 
@@ -59,7 +57,7 @@ SPAN_POINTS = (
 )
 
 _ACTIONS = ("raise", "delay", "corrupt", "enospc")
-_ERRORS = ("transient", "permanent", "strategy")
+_ERRORS = ("transient", "permanent")
 
 
 def _match_point(name: str, pattern: str) -> bool:
@@ -196,9 +194,6 @@ class FaultPlan:
         if spec.error == "transient":
             raise TransientFaultError(
                 f"injected transient fault at span point {name!r}", point=name)
-        if spec.error == "strategy":
-            raise StrategyFailureError(
-                f"injected strategy failure at span point {name!r}")
         raise FaultInjectedError(
             f"injected permanent fault at span point {name!r}", point=name)
 

@@ -58,11 +58,12 @@ Responses
 ``{"id": ..., "ok": true, ...}`` on success.  On failure ``ok`` is
 false and ``code`` carries a stable machine-readable error code from
 :data:`ERROR_CODES`; ``error`` is the human-readable message.  An ask
-served degraded under load keeps ``ok: true`` and reports ``degraded``
-(the ``rung:reason`` that served it): ``"naive:fallback"`` beside
-``complete: true`` when the fallback rung answered in full, a budget
-reason beside ``complete: false`` for partial answers -- partial
-answers are an answer, not an error (docs/SERVING.md).
+whose shed budget cut it under load keeps ``ok: true``, reports
+``complete: false`` with the answers derived before the cut, and
+names the plan and budget reason in ``degraded`` (for example
+``"compiled:budget-rows"``) -- partial answers are an answer, not an
+error (docs/SERVING.md).  A failing plan is never answered from
+another one: it is an ``internal`` error, loaded or not.
 Transient rejections (``shed``, ``quota``, ``breaker-open``,
 ``draining``) carry a ``retry_after`` hint in seconds, mirroring the
 HTTP shim's ``Retry-After`` header.
@@ -109,7 +110,9 @@ OPS = ("hello", "ping", "ask", "assert", "metrics", "audit", "slowlog")
 #:                 admits work; retry against another replica
 #: busy            the session layer reported concurrent use (should
 #:                 not escape the pool; a report is a server bug)
-#: internal        unexpected server-side failure
+#: internal        server-side failure: an injected fault, detected
+#:                 corruption, a plan that failed verification, or an
+#:                 unexpected exception; counts against the breaker
 #: ==============  ====================================================
 ERROR_CODES = ("bad-request", "line-too-long", "unknown-op", "bad-clearance",
                "bad-query", "rejected", "shed", "quota", "deadline",

@@ -125,6 +125,23 @@ class TestStructuralChecks:
         assert report.ok
         assert "ML016" in report.codes()
 
+    def test_constant_guard_is_ml016_only_when_always_true(self):
+        # Both plan kinds keep a guard over two constants.  An always-true
+        # one is a dead op; an always-false one is left to ML019, and an
+        # incomparable pair is left to the runtime, which raises.
+        for text, dead in (("p(a). q(X) :- p(X), 1 < 2.", True),
+                           ("p(a). q(X) :- p(X), 2 < 1.", False),
+                           ("p(a). q(X) :- p(X), a < 1.", False)):
+            rule = self._rule(text)
+            for plan, kind in ((compile_rule(rule), "row"),
+                               (compile_batch_rule(rule), "batch")):
+                report = verify_plan(plan, kind)
+                assert report.ok, (text, kind)
+                assert ("ML016" in report.codes()) is dead, (text, kind)
+                if dead:
+                    assert any(d.message.startswith("constant guard")
+                               for d in report.diagnostics), (text, kind)
+
 
 class TestSourceChecks:
     def _plan(self, text, batch=False):

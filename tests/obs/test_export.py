@@ -42,8 +42,8 @@ def golden_inputs():
         batch_dedup_rows=12,
         cache={"beta-views": CacheSnapshot(hits=8, misses=2, invalidations=1)},
         budget_exceeded=None,
-        degraded="naive:fallback",
-        retries=2, fallbacks=1, degraded_asks=1, attempt=5, rung="naive",
+        degraded="compiled:budget-rows",
+        retries=2, degraded_asks=1, attempt=5, rung="compiled",
     )
     histograms = HistogramSet(bounds=(0.001, 0.01, 0.1))
     for value in (0.0005, 0.002, 0.002, 0.05, 5.0):

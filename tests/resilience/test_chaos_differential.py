@@ -1,11 +1,12 @@
 """Chaos differential suite (satellite): fault-injected vs fault-free.
 
 For ~50 generated workloads, inject one fault at every span point in
-turn, across all four Datalog strategies, and assert the resilient path
-either returns answers identical to the fault-free run or a correctly
-flagged :class:`~repro.resilience.PartialResult`.  Fault kinds are drawn
-from a seeded RNG (``CHAOS_SEED``, default 0) so a CI failure replays
-locally bit-for-bit.
+turn, across {dict, columnar} x {native, naive}, and assert the
+resilient path either returns answers identical to the fault-free run,
+a correctly flagged :class:`~repro.resilience.PartialResult`, or -- for
+a permanent fault that fired -- an error, never answers.  Workloads and
+fault plans are seeded (``CHAOS_SEED``, default 0) so a CI failure
+replays locally bit-for-bit.
 
 Plus the kill-and-recover test: SIGKILL a subprocess mid-``assert_clause``
 loop and verify journal replay restores a consistent database containing
@@ -22,6 +23,7 @@ import time
 import pytest
 
 from repro.datalog import evaluate, parse_program
+from repro.errors import FaultInjectedError
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget, ObsContext, use
 from repro.resilience import FaultPlan, PartialResult, ResilientExecutor
@@ -58,13 +60,9 @@ def canon(answers):
     return sorted(tuple(sorted(a.items())) for a in answers)
 
 
-def fault_kinds(naive):
-    # A strategy failure on the naive rung has nowhere to fall; only arm
-    # it where the ladder has a rung below the requested one.
-    kinds = ["transient", "corrupt"]
-    if not naive:
-        kinds.append("strategy")
-    return kinds
+#: retried to the fault-free answers (transient, corrupt), or an error
+#: (permanent).
+FAULT_KINDS = ("transient", "corrupt", "permanent")
 
 
 def one_fault_plan(point, kind):
@@ -84,15 +82,22 @@ def test_datalog_chaos_differential(shape, n_nodes, seed):
             random_datalog_program(n_nodes, shape, seed=seed)),
             **options).rows("path")
         for point in ENGINE_POINTS:
-            for kind in fault_kinds(options["naive"]):
+            for kind in FAULT_KINDS:
                 plan = one_fault_plan(point, kind)
                 executor = ResilientExecutor()
-                with use(ObsContext(faults=plan)):
-                    db = executor.evaluate(program, **options)
-                rows = db.rows("path")
-                assert rows == baseline, (
-                    f"{shape}/{n_nodes}/seed={seed}: {kind} fault at {point} "
-                    f"({options}) changed the answers")
+                where = (f"{shape}/{n_nodes}/seed={seed}: {kind} fault at "
+                         f"{point} ({options})")
+                try:
+                    with use(ObsContext(faults=plan)):
+                        db = executor.evaluate(program, **options)
+                except FaultInjectedError:
+                    assert kind == "permanent" and plan.history, \
+                        f"{where} raised"
+                    continue
+                assert not (kind == "permanent" and plan.history), \
+                    f"{where} fired, yet answers were returned"
+                assert db.rows("path") == baseline, \
+                    f"{where} changed the answers"
 
 
 @pytest.mark.parametrize("n_tuples,belief_rules,seed", SESSION_WORKLOADS)
@@ -106,15 +111,23 @@ def test_session_chaos_differential(n_tuples, belief_rules, seed):
     for engine in ("operational", "reduction"):
         baseline = canon(fresh_session().ask(query, engine=engine))
         for point in SESSION_POINTS:
-            for kind in ("transient", "strategy"):
+            for kind in ("transient", "permanent"):
                 plan = one_fault_plan(point, kind)
                 session = fresh_session()  # cold caches: faults can land
                 session.arm_faults(plan)
                 executor = ResilientExecutor()
-                answers = executor.ask(session, query, engine=engine)
-                assert canon(answers) == baseline, (
-                    f"n={n_tuples}/rules={belief_rules}/seed={seed}: {kind} "
-                    f"fault at {point} ({engine}) changed the answers")
+                where = (f"n={n_tuples}/rules={belief_rules}/seed={seed}: "
+                         f"{kind} fault at {point} ({engine})")
+                try:
+                    answers = executor.ask(session, query, engine=engine)
+                except FaultInjectedError:
+                    assert kind == "permanent" and plan.history, \
+                        f"{where} raised"
+                    continue
+                assert not (kind == "permanent" and plan.history), \
+                    f"{where} fired, yet answers were returned"
+                assert canon(answers) == baseline, \
+                    f"{where} changed the answers"
 
 
 @pytest.mark.parametrize("shape,seed", [("chain", CHAOS_SEED), ("tree", CHAOS_SEED + 1)])

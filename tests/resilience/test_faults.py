@@ -6,7 +6,6 @@ from repro.datalog import evaluate, parse_program
 from repro.errors import (
     DataCorruptionError,
     FaultInjectedError,
-    StrategyFailureError,
     TransientFaultError,
     is_transient,
 )
@@ -63,12 +62,13 @@ class TestFiring:
     def test_permanent_and_strategy_and_corrupt(self):
         plan = FaultPlan()
         plan.arm("a", error="permanent")
-        plan.arm("b", error="strategy")
+        # No failure kind sends an ask to another plan: "strategy" is gone.
+        with pytest.raises(ValueError, match="unknown fault error kind"):
+            plan.arm("b", error="strategy")
         plan.arm("c", action="corrupt")
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(FaultInjectedError) as permanent:
             plan.on_span("a")
-        with pytest.raises(StrategyFailureError):
-            plan.on_span("b")
+        assert not is_transient(permanent.value)
         with pytest.raises(DataCorruptionError) as excinfo:
             plan.on_span("c")
         assert is_transient(excinfo.value)

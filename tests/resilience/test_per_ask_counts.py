@@ -1,13 +1,13 @@
 """Per-ask collectors: each ask counts into its own collector, which is
 folded into the session totals only when the ask is served, and every
-rung of the retry ladder runs under the ask's budget."""
+retried attempt runs under the ask's budget."""
 
 import pytest
 
-from repro.datalog import evaluate
+from repro.datalog.engine import native_plan
 from repro.errors import FaultInjectedError
 from repro.multilog import MultiLogSession
-from repro.obs import EvaluationBudget, MetricsCollector, ObsContext, use
+from repro.obs import EvaluationBudget, MetricsCollector
 from repro.resilience import FaultPlan, PartialResult, ResilientExecutor
 
 MLOG = """
@@ -80,62 +80,18 @@ class TestFailedAskDropsItsCounts:
         assert ask.join_probes == second.join_probes - first.join_probes
 
 
-class TestLowerRungBudget:
-    def test_fallback_rung_runs_under_the_session_budget(self):
+class TestRetryBudget:
+    def test_retried_attempt_runs_under_the_budget(self):
         session = MultiLogSession(MLOG, clearance="s",
                                   budget=EvaluationBudget(max_rounds=1))
         plan = FaultPlan()
-        plan.arm("rule-fire", error="strategy")  # kills the compiled rung
+        plan.arm("rule-fire", error="transient")  # fails the first try
         session.arm_faults(plan)
         executor = ResilientExecutor(allow_partial=True)
         result = executor.ask(session, QUERY, engine="reduction")
         assert isinstance(result, PartialResult)
-        assert result.rung == "naive"
+        assert result.rung == native_plan(session.backend)
         assert result.reason == "budget-rounds"
-        assert executor.last_outcome.fallbacks == 1
-        assert session.last_stats().degraded == "naive:budget-rounds"
-
-
-class TestFallbackRungIsTheAsk:
-    """The naive rung is an ordinary ask: the session's fault plan, trace
-    and collector cover its least-model build."""
-
-    @staticmethod
-    def faulted_session(*extra):
-        session = MultiLogSession(MLOG, clearance="s")
-        plan = FaultPlan()
-        # rule-fire opens only in the shared semi-naive driver, never in
-        # the naive one: the native rung fails, the naive rung runs.
-        plan.arm("rule-fire", error="strategy", times=None)
-        for point in extra:
-            plan.arm(point, error="permanent", times=None)
-        session.arm_faults(plan)
-        return session
-
-    def test_the_fault_plan_reaches_the_fallback_rung(self):
-        # The native rung dies at its first rule-fire, before any round
-        # span opens; only the naive build reaches round[*].
-        session = self.faulted_session("round[*]")
-        with pytest.raises(FaultInjectedError):
-            ResilientExecutor().ask(session, QUERY, engine="reduction")
-
-    def test_the_fallback_build_is_traced_and_counted(self):
-        session = self.faulted_session()
-        executor = ResilientExecutor()
-        answers = executor.ask(session, QUERY, engine="reduction")
-        assert answers == MultiLogSession(MLOG, clearance="s").ask(
-            QUERY, engine="reduction")
-        assert executor.last_outcome.rung == "naive"
-        query = session.last_trace().roots[-1]
-        assert query.name == "query"
-        assert [span.attrs["strategy"] for span in query.find("evaluate")] \
-            == ["naive"]
-        oracle = MetricsCollector()
-        with use(ObsContext(metrics=oracle)):
-            evaluate(session.reduced.program, naive=True)
-        # The ask counted the naive build, plus its own answer rules.
-        served = session.last_ask_metrics()
-        assert served.rounds == oracle.rounds
-        assert {label: served.rule_firings[label]
-                for label in oracle.rule_firings} == oracle.rule_firings
-        assert served.join_probes >= oracle.join_probes > 0
+        assert executor.last_outcome.retries == 1
+        assert session.last_stats().degraded \
+            == f"{native_plan(session.backend)}:budget-rounds"

@@ -1,4 +1,4 @@
-"""Serving-attempt stats (PR 5 satellite): after the ladder settles,
+"""Serving-attempt stats: after the resilience executor settles an ask,
 ``last_stats()`` reports the counters of the attempt that produced the
 answers -- aborted tries are rolled back, not merged in -- stamped with
 ``attempt``/``rung`` and the cumulative resilience counters."""
@@ -6,7 +6,7 @@ answers -- aborted tries are rolled back, not merged in -- stamped with
 import pytest
 
 from repro.datalog.engine import native_plan
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, FaultInjectedError
 from repro.multilog import MultiLogSession
 from repro.obs import EvaluationBudget
 from repro.resilience import FaultPlan, ResilientExecutor
@@ -33,7 +33,6 @@ class TestServingAttempt:
         assert stats.attempt == 1
         assert stats.rung == native_plan()
         assert stats.retries == 0
-        assert stats.fallbacks == 0
         assert f"served by: attempt 1 on rung {native_plan()}" in stats.summary()
 
     def test_retried_ask_reports_only_the_serving_attempt(self):
@@ -53,17 +52,17 @@ class TestServingAttempt:
         assert stats.asks == 1
         assert f"served by: attempt 3 on rung {native_plan()}" in stats.summary()
 
-    def test_fallback_reports_the_lower_rung(self):
+    def test_failed_ask_claims_no_serving_plan(self):
         session = MultiLogSession(MLOG, clearance="s")
         plan = FaultPlan()
-        plan.arm("stratum[*]", error="strategy")
+        plan.arm("stratum[*]", error="permanent")
         session.arm_faults(plan)
-        ResilientExecutor().ask(session, QUERY, engine="reduction")
+        with pytest.raises(FaultInjectedError):
+            ResilientExecutor().ask(session, QUERY, engine="reduction")
         stats = session.last_stats()
-        assert stats.rung == "naive"
-        assert stats.fallbacks == 1
-        assert stats.degraded == "naive:fallback"
-        assert "served by:" in stats.summary()
+        assert (stats.rung, stats.degraded, stats.asks) == (None, None, 0)
+        assert stats.degraded_asks == 0
+        assert "served by:" not in stats.summary()
 
     def test_partial_budget_keeps_the_aborted_attempts_counters(self):
         session = MultiLogSession(MLOG, clearance="s",

@@ -181,19 +181,16 @@ def _serial_counts(session, before):
 def test_request_counts_equal_serial_per_ask_counts(degraded):
     """The root span's rows/probes and the slow-log EXPLAIN sketch of one
     request are that ask's own counts: a plain ask twice (cold, then
-    warm), and an overload-degraded ask whose native rung fails, served
-    from the naive fallback rung -- whose least-model build the request
-    counts too."""
-    from repro.datalog import evaluate
+    warm), and an overload-degraded ask whose first try fails mid-build
+    and whose retry serves -- the request counts the retry alone."""
     from repro.multilog import MultiLogSession
-    from repro.obs import MetricsCollector, ObsContext, use
     from repro.resilience import ResilientExecutor
 
     def faulted():
         plan = FaultPlan()
-        # rule-fire opens only in the shared semi-naive driver: the
-        # native rung fails on every try, the naive rung never does.
-        plan.arm("rule-fire", error="strategy", times=None)
+        # One transient failure in the shared semi-naive driver: the
+        # first try dies building the least model, the retry builds it.
+        plan.arm("rule-fire", error="transient")
         return plan
 
     engine = "reduction" if degraded else "operational"
@@ -205,7 +202,8 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
         before = serial.last_stats()
         if degraded:
             ResilientExecutor(allow_partial=True).ask(serial, ASK, engine=engine)
-            assert serial.last_stats().degraded == "naive:fallback"
+            stats = serial.last_stats()
+            assert (stats.retries, stats.degraded) == (1, None)
         else:
             serial.ask(ASK, engine=engine)
         expected.append(_serial_counts(serial, before))
@@ -240,51 +238,42 @@ def test_request_counts_equal_serial_per_ask_counts(degraded):
     by_trace = {entry["trace_id"]: entry["explain"] for entry in entries}
     assert [by_trace[root.attrs["trace_id"]] for root in roots] \
         == [explain for _, _, explain in expected]
-    served = [span.attrs.get("rung") for root in roots
-              for span in root.find("query")]
-    assert served[-1] == ("naive" if degraded else None)
-    if degraded:
-        build = MetricsCollector()
-        with use(ObsContext(metrics=build)):
-            evaluate(serial.reduced.program, naive=True)
-        [root] = roots
-        assert root.attrs["rows"] >= sum(build.rows_derived.values()) > 1
-        assert root.attrs["probes"] >= build.join_probes > 5
+    # Each try is traced under the request; a failed one is aborted.
+    tries = [[span.attrs.get("aborted", False) for span in root.find("query")]
+             for root in roots]
+    assert tries[-1] == ([True, False] if degraded else [False])
 
 
-def test_fallback_served_ask_is_flagged_degraded():
-    """An overload-degraded ask that the naive rung serves in full is a
-    complete answer, and still says it was degraded: on the response, on
-    the request's root span and in ``degraded_total``."""
+def test_budget_cut_ask_is_flagged_degraded():
+    """An overload-degraded ask that the shed budget cuts is a partial
+    answer, and says so: on the response, on the request's root span,
+    on the try's own span and in ``degraded_total``."""
+    from repro.datalog.engine import native_plan
+    from repro.obs import EvaluationBudget
+
     sink = SpanList()
 
     async def main():
         server = await started(trace=True, trace_sink=sink, degrade_at=0.0,
-                               engine="reduction")
-        plan = FaultPlan()
-        plan.arm("rule-fire", error="strategy", times=None)
-
-        def setup(session, _orig=server.pool._on_create):
-            _orig(session)
-            session.arm_faults(plan)
-
-        server.pool._on_create = setup
+                               engine="reduction",
+                               shed_budget=EvaluationBudget(max_derived_rows=1))
         try:
             host, port = server.address
             async with await ServingClient.connect(host, port, "s") as client:
                 response = await client.ask_full(ASK)
         finally:
             await server.stop()
-        return response, server.stats.degraded_total
+        return response, server.stats.degraded_total, server.root.backend
 
-    response, degraded_total = run(main())
-    assert response["complete"] is True
-    assert response["degraded"] == "naive:fallback"
+    response, degraded_total, backend = run(main())
+    plan = native_plan(backend)
+    assert response["complete"] is False
+    assert response["degraded"] == f"{plan}:budget-rows"
     assert degraded_total == 1
     [root] = [span for span in sink.spans if span.name == "request[ask]"]
     assert root.attrs["degraded"] is True
-    query = root.find("query")[-1]  # the try that served it
-    assert (query.attrs["degraded"], query.attrs["rung"]) == (True, "naive")
+    [query] = root.find("query")
+    assert (query.attrs["degraded"], query.attrs["rung"]) == (True, plan)
 
 
 # -- trace propagation: HTTP shim ---------------------------------------
