@@ -121,6 +121,38 @@ def test_siblings_are_independent_flights(monkeypatch):
     assert result.get("answers"), result
 
 
+@pytest.mark.parametrize("outer", ["ask", "executor"])
+def test_nested_ask_on_the_same_thread_raises_session_busy(monkeypatch,
+                                                           outer):
+    """Calling back into a session from inside its own ask (a trace sink,
+    a callback) is refused as well, also when the resilience executor
+    holds the flight across its tries."""
+    from repro.resilience import ResilientExecutor
+
+    session = MultiLogSession(D1_SOURCE, clearance="s")
+    real = session_mod.parse_query
+    refused = []
+
+    def reenter(text):
+        if not refused:  # once: a nested ask that got in would recurse
+            try:
+                session.ask(ASK)
+            except SessionBusyError as exc:
+                refused.append(exc)
+            else:
+                refused.append(None)
+        return real(text)
+
+    monkeypatch.setattr(session_mod, "parse_query", reenter)
+    if outer == "ask":
+        answers = session.ask(ASK)
+    else:
+        answers = ResilientExecutor().ask(session, ASK)
+    assert answers
+    assert len(refused) == 1 and isinstance(refused[0], SessionBusyError)
+    assert "not reentrant" in str(refused[0])
+
+
 def test_failed_ask_still_publishes_its_trace():
     session = MultiLogSession(D1_SOURCE, clearance="s")
     with pytest.raises(Exception):

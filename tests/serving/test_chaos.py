@@ -122,9 +122,9 @@ def test_slow_loris_connections_do_not_block_service():
 
 # -- disconnect cancellation ---------------------------------------------
 
-def test_disconnect_mid_ask_cancels_the_evaluation():
+def disconnect_mid_ask(degrade_at: float) -> MultiLogServer:
     async def main():
-        server = await started()
+        server = await started(degrade_at=degrade_at)
         try:
             # Every pooled session evaluates slowly (a held fault-delay
             # at the query span), so the disconnect lands mid-evaluation.
@@ -151,8 +151,21 @@ def test_disconnect_mid_ask_cancels_the_evaluation():
                 assert await client.ask(ASK)
         finally:
             await server.stop()
+        return server
 
-    run(main())
+    return run(main())
+
+
+def test_disconnect_mid_ask_cancels_the_evaluation():
+    disconnect_mid_ask(degrade_at=1.0)
+
+
+def test_disconnect_mid_degraded_ask_is_cancelled_not_salvaged():
+    """A loaded server (every ask degraded) answers a hung-up client's ask
+    as ``cancelled`` like a calm one; nobody is left to take a partial."""
+    stats = disconnect_mid_ask(degrade_at=0.0).stats
+    assert (stats.cancelled_total, stats.degraded_total) == (1, 0)
+    assert stats.completed_total == 1  # the live client's ask only
 
 
 # -- disk chaos ----------------------------------------------------------
